@@ -6,8 +6,8 @@ use apq_engine::SchedulerPolicy;
 /// experiments. Three presets exist:
 ///
 /// * [`ExperimentConfig::smoke`] — seconds-scale, used by unit tests;
-/// * [`ExperimentConfig::quick`] — the default of `run_experiments` and the
-///   Criterion benches (a couple of minutes end to end);
+/// * [`ExperimentConfig::quick`] — the default of `run_experiments` (a
+///   couple of minutes end to end);
 /// * [`ExperimentConfig::full`] — larger inputs for the recorded
 ///   `EXPERIMENTS.md` numbers.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,11 +1,9 @@
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (§4), plus shared helpers for the Criterion benches.
+//! evaluation (§4).
 //!
 //! Each experiment lives in its own module under [`experiments`] and returns
 //! one or more [`reporting::ExperimentTable`]s whose rows mirror the series
-//! the paper plots. The `run_experiments` binary prints them; the Criterion
-//! benches under `benches/` additionally measure the key plan executions of
-//! each experiment.
+//! the paper plots. The `run_experiments` binary prints them.
 //!
 //! Absolute numbers are *not* expected to match the paper (the substrate is a
 //! laptop-scale Rust engine, not the authors' 32-core MonetDB testbed); the

@@ -167,18 +167,26 @@ pub fn execute_node(
 
         OperatorSpec::OidsFromColumn => {
             let col = as_column(node, &inputs[0])?;
+            // One pass converts and remembers whether any value was negative.
+            let mut negative = false;
             let oids: Vec<Oid> = match col.data_type() {
                 DataType::Int64 => col
                     .i64_values()
                     .map_err(OperatorError::from)?
                     .iter()
-                    .map(|&v| v.max(0) as Oid)
+                    .map(|&v| {
+                        negative |= v < 0;
+                        v as Oid
+                    })
                     .collect(),
                 DataType::Int32 => col
                     .i32_values()
                     .map_err(OperatorError::from)?
                     .iter()
-                    .map(|&v| v.max(0) as Oid)
+                    .map(|&v| {
+                        negative |= v < 0;
+                        v as Oid
+                    })
                     .collect(),
                 other => {
                     return Err(EngineError::InvalidPlan(format!(
@@ -186,6 +194,11 @@ pub fn execute_node(
                     )))
                 }
             };
+            if negative {
+                return Err(EngineError::InvalidPlan(format!(
+                    "node {node}: a negative value cannot be used as an oid"
+                )));
+            }
             Ok(Chunk::oids_at(oids, col.base_oid()))
         }
 
@@ -342,11 +355,17 @@ fn anti_join(outer: &Column, hash: &JoinHashTable) -> Result<Vec<Oid>> {
 }
 
 /// True when `(stream_base, len)` parts can be packed in argument order
-/// without mislabeling stream positions: either every part is a fresh stream
-/// (all bases 0 — the pack forms a new stream), or the parts are consecutive
-/// windows of one stream (each base continues where the previous part ended).
+/// without mislabeling stream positions. Cut the parts into runs in which
+/// each base continues where the previous part ended. Either there is one
+/// run (consecutive windows of one stream; the pack keeps the first base),
+/// or every run starts at base 0: each run is then a fresh stream, whole or
+/// cut into consecutive windows by a later mutation, and the pack forms a
+/// new stream.
 fn stream_order_is_consistent(bases: &[(Oid, usize)]) -> bool {
-    bases.iter().all(|&(b, _)| b == 0) || bases.windows(2).all(|w| w[1].0 == w[0].0 + w[0].1 as Oid)
+    let continues = |w: &[(Oid, usize)]| w[1].0 == w[0].0 + w[0].1 as Oid;
+    bases.windows(2).all(continues)
+        || bases.first().is_none_or(|&(b, _)| b == 0)
+            && bases.windows(2).all(|w| continues(w) || w[1].0 == 0)
 }
 
 /// Debug-only wrapper building the `(stream_base, len)` pairs for the
@@ -377,12 +396,13 @@ pub(crate) fn exchange_union(node: NodeId, inputs: &[Chunk]) -> Result<Chunk> {
             for chunk in inputs {
                 views.push(as_oids(node, chunk)?);
             }
-            // Parts must be packed in stream order: either every part is a
-            // fresh stream (base 0 — the packed list is then itself a new
-            // stream) or the parts are consecutive windows of one stream. An
-            // out-of-order pack would mislabel positions — the silent
-            // row-redistribution class the stream_base plumbing exists to
-            // prevent — so it is asserted rather than silently accepted.
+            // Parts must be packed in stream order: either the parts are
+            // fresh streams, each whole or cut into consecutive windows (the
+            // packed list is then itself a new stream), or they are
+            // consecutive windows of one stream. An out-of-order pack would
+            // mislabel positions — the silent row-redistribution class the
+            // stream_base plumbing exists to prevent — so it is asserted
+            // rather than silently accepted.
             debug_assert!(
                 stream_order_check(&views, |v| (v.stream_base(), v.len())),
                 "node {node}: exchange-union inputs are not in stream order"
@@ -539,6 +559,36 @@ mod tests {
         match &fetched {
             Chunk::Column(c) => assert_eq!(c.i64_values().unwrap(), &[0, 10, 20, 30, 40]),
             other => panic!("unexpected chunk {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stream_order_accepts_fresh_streams_and_their_windows_only() {
+        // Consecutive windows of one stream, from any base.
+        assert!(stream_order_is_consistent(&[(100, 10), (110, 5), (115, 0)]));
+        // Fresh streams, some cut into consecutive windows by a mutation.
+        assert!(stream_order_is_consistent(&[(0, 10), (0, 10), (0, 5), (5, 5)]));
+        assert!(stream_order_is_consistent(&[(0, 20), (0, 10), (10, 10)]));
+        assert!(stream_order_is_consistent(&[]));
+        // A window that does not continue its predecessor or start a stream.
+        assert!(!stream_order_is_consistent(&[(0, 5), (0, 10), (5, 5)]));
+        assert!(!stream_order_is_consistent(&[(10, 5), (0, 10)]));
+        assert!(!stream_order_is_consistent(&[(0, 10), (20, 5)]));
+    }
+
+    #[test]
+    fn oids_from_column_rejects_negative_values() {
+        let cat = catalog();
+        let keys = Chunk::Column(Column::from_i64(vec![3, 0, 7]));
+        let oids =
+            execute_node(4, &OperatorSpec::OidsFromColumn, std::slice::from_ref(&keys), &cat)
+                .unwrap();
+        assert_eq!(as_oids(4, &oids).unwrap().as_slice(), &[3, 0, 7]);
+        for bad in [Column::from_i64(vec![3, -1, 7]), Column::from_i32(vec![-5])] {
+            let err = execute_node(4, &OperatorSpec::OidsFromColumn, &[Chunk::Column(bad)], &cat)
+                .unwrap_err();
+            let message = err.to_string();
+            assert!(message.contains("node 4") && message.contains("negative"), "{message}");
         }
     }
 

@@ -8,12 +8,33 @@
 //! single-attribute grouped aggregate ([`GroupedAgg`]) are therefore
 //! represented as mergeable states with a final `finish` step, exactly like
 //! the paper's `aggr.sum` over `mat.pack`-ed partials in the Q14 plan.
+//!
+//! # Grouping kernel
+//!
+//! [`grouped_agg`] is one flat pass over the rows: it maps each row's key to
+//! a dense group id and updates `states[group]` with the row's value. Keys
+//! are handled as integers: `Int64`, `Int32` and `Bool` values directly,
+//! strings by their dictionary code. The id map is chosen from the input:
+//!
+//! * **Dense slots** when the keys span at most `max(4 × rows, 65,536)`
+//!   values, which always holds for dictionary codes of a small dictionary
+//!   and for small integer domains: `slot = key − min`.
+//! * **A flat hash table** otherwise: open addressing with linear probing
+//!   over a multiplicative hash, doubled at half load.
+//!
+//! The [`GroupKey`] of a group and its entry in the key index are built once,
+//! when the group first appears, so string keys are cloned once per group.
+//! Groups keep **first-occurrence order**, and each group accumulates its
+//! rows **in row order**; together with the morsel-order merge upstream this
+//! keeps float results byte-identical however the input is partitioned.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use apq_columnar::{Column, DataType, ScalarValue};
 
 use crate::error::{OperatorError, Result};
+use crate::join::direct_span;
 
 /// Aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -258,14 +279,23 @@ impl GroupedAgg {
         self.keys.is_empty()
     }
 
-    fn state_mut(&mut self, key: GroupKey) -> &mut AggState {
-        let func = self.func;
-        let idx = *self.index.entry(key.clone()).or_insert_with(|| {
-            self.keys.push(key);
-            self.states.push(AggState::new(func));
-            self.keys.len() - 1
-        });
-        &mut self.states[idx]
+    /// Id of the group for `key`, creating an empty group on first sight.
+    fn group_id(&mut self, key: GroupKey) -> usize {
+        let next = self.keys.len();
+        match self.index.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.keys.push(e.key().clone());
+                self.states.push(AggState::new(self.func));
+                e.insert(next);
+                next
+            }
+        }
+    }
+
+    /// Groups in first-occurrence order with their partial states.
+    pub fn groups(&self) -> impl Iterator<Item = (&GroupKey, &AggState)> {
+        self.keys.iter().zip(&self.states)
     }
 
     /// Finalized value of one group, if present.
@@ -282,8 +312,9 @@ impl GroupedAgg {
                 other.func.name()
             )));
         }
-        for (key, state) in other.keys.iter().zip(&other.states) {
-            self.state_mut(key.clone()).merge(state)?;
+        for (key, state) in other.groups() {
+            let g = self.group_id(key.clone());
+            self.states[g].merge(state)?;
         }
         Ok(())
     }
@@ -292,7 +323,7 @@ impl GroupedAgg {
     /// result representation used to compare serial and parallel plans.
     pub fn finish_sorted(&self) -> Vec<(GroupKey, ScalarValue)> {
         let mut out: Vec<(GroupKey, ScalarValue)> =
-            self.keys.iter().cloned().zip(self.states.iter().map(AggState::finish)).collect();
+            self.groups().map(|(key, state)| (key.clone(), state.finish())).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -301,79 +332,175 @@ impl GroupedAgg {
     pub fn byte_size(&self) -> usize {
         self.keys.len() * (std::mem::size_of::<GroupKey>() + std::mem::size_of::<AggState>())
     }
+
+    /// Calls `update(state, row)` for every row of an integer-coded key
+    /// column, creating groups in first-occurrence order.
+    fn group_rows(
+        &mut self,
+        keys: &Column,
+        update: impl FnMut(&mut AggState, usize),
+    ) -> Result<()> {
+        match keys.data_type() {
+            DataType::Int64 => self.group_ints(keys.i64_values()?, |k| k, GroupKey::I64, update),
+            DataType::Int32 => {
+                self.group_ints(keys.i32_values()?, |k| k as i64, GroupKey::I64, update)
+            }
+            DataType::Bool => {
+                self.group_ints(keys.bool_values()?, |k| k as i64, GroupKey::I64, update)
+            }
+            DataType::Str => {
+                let (codes, dict) = keys.str_codes()?;
+                // Two codes with equal strings still meet in one group: new
+                // groups are resolved through the key index.
+                let key = |c: i64| GroupKey::Str(dict[c as usize].clone());
+                self.group_ints(codes, |c| c as i64, key, update)
+            }
+            DataType::Float64 => {
+                return Err(OperatorError::IncompatibleAggregates(
+                    "float group-by keys are not supported".to_string(),
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    /// [`GroupedAgg::group_rows`] over integer keys: dense slots when the
+    /// key span is small, a flat hash table otherwise.
+    fn group_ints<T: Copy>(
+        &mut self,
+        keys: &[T],
+        widen: impl Fn(T) -> i64,
+        group_key: impl Fn(i64) -> GroupKey,
+        mut update: impl FnMut(&mut AggState, usize),
+    ) {
+        if keys.is_empty() {
+            return;
+        }
+        let (min, max) = keys
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(widen(k)), hi.max(widen(k))));
+        if let Some(span) = direct_span(min, max, keys.len()) {
+            // Slot `key - min` holds `group id + 1`; 0 means not seen yet.
+            let mut slots = vec![0u32; span];
+            for (row, &k) in keys.iter().enumerate() {
+                let k = widen(k);
+                let slot = &mut slots[k.wrapping_sub(min) as u64 as usize];
+                if *slot == 0 {
+                    *slot = self.group_id(group_key(k)) as u32 + 1;
+                }
+                update(&mut self.states[*slot as usize - 1], row);
+            }
+        } else {
+            let mut table = FlatGroups::new();
+            for (row, &k) in keys.iter().enumerate() {
+                let k = widen(k);
+                let g = table.get_or_insert(k, || self.group_id(group_key(k)) as u32);
+                update(&mut self.states[g as usize], row);
+            }
+        }
+    }
 }
 
-/// Converts a key column row into a [`GroupKey`], using a per-dictionary-code
-/// cache for string columns so the conversion stays O(1) per row.
-fn key_extractor(keys: &Column) -> Result<Box<dyn Fn(usize) -> GroupKey + '_>> {
-    match keys.data_type() {
-        DataType::Int64 => {
-            let vals = keys.i64_values()?;
-            Ok(Box::new(move |i| GroupKey::I64(vals[i])))
+/// Open-addressing map from an integer key to a group id, for key sets too
+/// sparse for dense slots.
+struct FlatGroups {
+    keys: Vec<i64>,
+    /// `group id + 1` per slot; 0 marks an empty slot.
+    slots: Vec<u32>,
+    len: usize,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl FlatGroups {
+    const INITIAL_BITS: u32 = 10;
+
+    fn new() -> Self {
+        let n = 1 << Self::INITIAL_BITS;
+        FlatGroups { keys: vec![0; n], slots: vec![0; n], len: 0, shift: 64 - Self::INITIAL_BITS }
+    }
+
+    #[inline]
+    fn home(&self, key: i64) -> usize {
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Group id of `key`, calling `new_group` for a key not seen before.
+    fn get_or_insert(&mut self, key: i64, new_group: impl FnOnce() -> u32) -> u32 {
+        if self.len * 2 >= self.slots.len() {
+            self.grow();
         }
-        DataType::Int32 => {
-            let vals = keys.i32_values()?;
-            Ok(Box::new(move |i| GroupKey::I64(vals[i] as i64)))
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                0 => {
+                    let g = new_group();
+                    self.keys[i] = key;
+                    self.slots[i] = g + 1;
+                    self.len += 1;
+                    return g;
+                }
+                s if self.keys[i] == key => return s - 1,
+                _ => i = (i + 1) & mask,
+            }
         }
-        DataType::Bool => {
-            let vals = keys.bool_values()?;
-            Ok(Box::new(move |i| GroupKey::I64(vals[i] as i64)))
+    }
+
+    fn grow(&mut self) {
+        let old_keys = std::mem::take(&mut self.keys);
+        let old_slots = std::mem::take(&mut self.slots);
+        let n = old_slots.len() * 2;
+        self.keys = vec![0; n];
+        self.slots = vec![0; n];
+        self.shift -= 1;
+        let mask = n - 1;
+        for (key, slot) in old_keys.into_iter().zip(old_slots).filter(|&(_, s)| s != 0) {
+            let mut i = self.home(key);
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.keys[i] = key;
+            self.slots[i] = slot;
         }
-        DataType::Str => {
-            let (codes, dict) = keys.str_codes()?;
-            Ok(Box::new(move |i| GroupKey::Str(dict[codes[i] as usize].clone())))
-        }
-        DataType::Float64 => Err(OperatorError::IncompatibleAggregates(
-            "float group-by keys are not supported".to_string(),
-        )),
     }
 }
 
 /// Single-attribute grouped aggregation: `SELECT key, func(value) GROUP BY key`.
 ///
 /// `keys` and `values` must be equally long and positionally aligned (they
-/// usually are two columns fetched through the same candidate list).
+/// usually are two columns fetched through the same candidate list). Groups
+/// appear in first-occurrence order (see the module docs for the kernel).
 pub fn grouped_agg(func: AggFunc, keys: &Column, values: &Column) -> Result<GroupedAgg> {
     if keys.len() != values.len() {
         return Err(OperatorError::LengthMismatch { left: keys.len(), right: values.len() });
     }
-    let extract = key_extractor(keys)?;
     let mut agg = GroupedAgg::new(func);
     match values.data_type() {
         DataType::Int64 => {
             let vals = values.i64_values()?;
-            for (i, &v) in vals.iter().enumerate() {
-                agg.state_mut(extract(i)).update_i64(v);
-            }
+            agg.group_rows(keys, |s, i| s.update_i64(vals[i]))?;
         }
         DataType::Int32 => {
             let vals = values.i32_values()?;
-            for (i, &v) in vals.iter().enumerate() {
-                agg.state_mut(extract(i)).update_i64(v as i64);
-            }
+            agg.group_rows(keys, |s, i| s.update_i64(vals[i] as i64))?;
         }
         DataType::Float64 => {
             let vals = values.f64_values()?;
-            for (i, &v) in vals.iter().enumerate() {
-                agg.state_mut(extract(i)).update_f64(v);
-            }
+            agg.group_rows(keys, |s, i| s.update_f64(vals[i]))?;
         }
         DataType::Bool => {
             let vals = values.bool_values()?;
-            for (i, &v) in vals.iter().enumerate() {
-                agg.state_mut(extract(i)).update_i64(v as i64);
-            }
+            agg.group_rows(keys, |s, i| s.update_i64(vals[i] as i64))?;
         }
         DataType::Str => {
-            if func != AggFunc::Count {
+            if keys.data_type() != DataType::Float64 && func != AggFunc::Count {
                 return Err(OperatorError::IncompatibleAggregates(format!(
                     "{} over a string value column",
                     func.name()
                 )));
             }
-            for i in 0..keys.len() {
-                agg.state_mut(extract(i)).update_i64(1);
-            }
+            agg.group_rows(keys, |s, _| s.update_i64(1))?;
         }
     }
     Ok(agg)

@@ -25,34 +25,6 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
-    fn apply_i64(self, a: i64, b: i64) -> Result<i64> {
-        Ok(match self {
-            BinaryOp::Add => a.wrapping_add(b),
-            BinaryOp::Sub => a.wrapping_sub(b),
-            BinaryOp::Mul => a.wrapping_mul(b),
-            BinaryOp::Div => {
-                if b == 0 {
-                    return Err(OperatorError::DivisionByZero);
-                }
-                a / b
-            }
-        })
-    }
-
-    fn apply_f64(self, a: f64, b: f64) -> Result<f64> {
-        Ok(match self {
-            BinaryOp::Add => a + b,
-            BinaryOp::Sub => a - b,
-            BinaryOp::Mul => a * b,
-            BinaryOp::Div => {
-                if b == 0.0 {
-                    return Err(OperatorError::DivisionByZero);
-                }
-                a / b
-            }
-        })
-    }
-
     /// Short symbol for plan pretty-printing.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -79,96 +51,115 @@ pub fn calc_col_col(op: BinaryOp, left: &Column, right: &Column) -> Result<Colum
     if left.len() != right.len() {
         return Err(OperatorError::LengthMismatch { left: left.len(), right: right.len() });
     }
-    match (left.data_type(), right.data_type()) {
-        (DataType::Float64, DataType::Float64) => {
-            let l = left.f64_values()?;
-            let r = right.f64_values()?;
-            let mut out = Vec::with_capacity(l.len());
-            for (a, b) in l.iter().zip(r) {
-                out.push(op.apply_f64(*a, *b)?);
-            }
-            Ok(Column::from_f64(out))
-        }
-        (lt, rt) if is_int(lt) && is_int(rt) => {
-            let l = widened_i64(left)?;
-            let r = widened_i64(right)?;
-            let mut out = Vec::with_capacity(l.len());
-            for (a, b) in l.iter().zip(r.iter()) {
-                out.push(op.apply_i64(*a, *b)?);
-            }
-            Ok(Column::from_i64(out))
-        }
-        (lt, rt) => Err(numeric_error(lt, rt)),
+    if (left.data_type(), right.data_type()) == (DataType::Float64, DataType::Float64) {
+        let (l, r) = (left.f64_values()?, right.f64_values()?);
+        check_divisors(op, r.contains(&0.0))?;
+        return Ok(Column::from_f64(float_op(op, l.iter().zip(r).map(|(&a, &b)| (a, b)))));
     }
+    let out = match (ints(left)?, ints(right)?) {
+        (Some(Ints::I64(l)), Some(Ints::I64(r))) => int_col_col(op, l, r),
+        (Some(Ints::I64(l)), Some(Ints::I32(r))) => int_col_col(op, l, r),
+        (Some(Ints::I32(l)), Some(Ints::I64(r))) => int_col_col(op, l, r),
+        (Some(Ints::I32(l)), Some(Ints::I32(r))) => int_col_col(op, l, r),
+        _ => return Err(numeric_error(left.data_type(), right.data_type())),
+    }?;
+    Ok(Column::from_i64(out))
 }
 
 /// `out[i] = left[i] <op> scalar`.
 pub fn calc_col_scalar(op: BinaryOp, left: &Column, scalar: &ScalarValue) -> Result<Column> {
-    match left.data_type() {
-        DataType::Float64 => {
-            let rhs = scalar
-                .as_f64()
-                .ok_or_else(|| numeric_error(DataType::Float64, scalar.data_type()))?;
-            let l = left.f64_values()?;
-            let mut out = Vec::with_capacity(l.len());
-            for a in l {
-                out.push(op.apply_f64(*a, rhs)?);
-            }
-            Ok(Column::from_f64(out))
-        }
-        lt if is_int(lt) => {
-            let rhs = scalar.as_i64().ok_or_else(|| numeric_error(lt, scalar.data_type()))?;
-            let l = widened_i64(left)?;
-            let mut out = Vec::with_capacity(l.len());
-            for a in l.iter() {
-                out.push(op.apply_i64(*a, rhs)?);
-            }
-            Ok(Column::from_i64(out))
-        }
-        lt => Err(numeric_error(lt, scalar.data_type())),
+    let error = || numeric_error(left.data_type(), scalar.data_type());
+    if left.data_type() == DataType::Float64 {
+        let rhs = scalar.as_f64().ok_or_else(error)?;
+        let l = left.f64_values()?;
+        check_divisors(op, rhs == 0.0 && !l.is_empty())?;
+        return Ok(Column::from_f64(float_op(op, l.iter().map(|&a| (a, rhs)))));
     }
+    let (Some(l), Some(rhs)) = (ints(left)?, scalar.as_i64()) else {
+        return Err(error());
+    };
+    check_divisors(op, rhs == 0 && !left.is_empty())?;
+    Ok(Column::from_i64(match l {
+        Ints::I64(l) => int_op(op, l.iter().map(|&a| (a, rhs))),
+        Ints::I32(l) => int_op(op, l.iter().map(|&a| (a as i64, rhs))),
+    }))
 }
 
 /// `out[i] = scalar <op> right[i]` (needed for `1 - l_discount` style expressions).
 pub fn calc_scalar_col(op: BinaryOp, scalar: &ScalarValue, right: &Column) -> Result<Column> {
-    match right.data_type() {
-        DataType::Float64 => {
-            let lhs = scalar
-                .as_f64()
-                .ok_or_else(|| numeric_error(scalar.data_type(), DataType::Float64))?;
-            let r = right.f64_values()?;
-            let mut out = Vec::with_capacity(r.len());
-            for b in r {
-                out.push(op.apply_f64(lhs, *b)?);
-            }
-            Ok(Column::from_f64(out))
-        }
-        rt if is_int(rt) => {
-            let lhs = scalar.as_i64().ok_or_else(|| numeric_error(scalar.data_type(), rt))?;
-            let r = widened_i64(right)?;
-            let mut out = Vec::with_capacity(r.len());
-            for b in r.iter() {
-                out.push(op.apply_i64(lhs, *b)?);
-            }
-            Ok(Column::from_i64(out))
-        }
-        rt => Err(numeric_error(scalar.data_type(), rt)),
+    let error = || numeric_error(scalar.data_type(), right.data_type());
+    if right.data_type() == DataType::Float64 {
+        let lhs = scalar.as_f64().ok_or_else(error)?;
+        let r = right.f64_values()?;
+        check_divisors(op, r.contains(&0.0))?;
+        return Ok(Column::from_f64(float_op(op, r.iter().map(|&b| (lhs, b)))));
+    }
+    let (Some(r), Some(lhs)) = (ints(right)?, scalar.as_i64()) else {
+        return Err(error());
+    };
+    Ok(Column::from_i64(match r {
+        Ints::I64(r) => int_scalar_col(op, lhs, r),
+        Ints::I32(r) => int_scalar_col(op, lhs, r),
+    }?))
+}
+
+/// Visible values of an integer column, borrowed at their stored width.
+enum Ints<'a> {
+    I64(&'a [i64]),
+    I32(&'a [i32]),
+}
+
+/// The integer values of `col`, or `None` for a non-integer column.
+fn ints(col: &Column) -> Result<Option<Ints<'_>>> {
+    Ok(match col.data_type() {
+        DataType::Int64 => Some(Ints::I64(col.i64_values()?)),
+        DataType::Int32 => Some(Ints::I32(col.i32_values()?)),
+        _ => None,
+    })
+}
+
+/// Fails a division whose divisor contains a zero; any other op passes.
+fn check_divisors(op: BinaryOp, has_zero: bool) -> Result<()> {
+    if op == BinaryOp::Div && has_zero {
+        return Err(OperatorError::DivisionByZero);
+    }
+    Ok(())
+}
+
+/// Integer `l[i] <op> r[i]`, widening each side to `i64` inside the loop.
+fn int_col_col<A, B>(op: BinaryOp, l: &[A], r: &[B]) -> Result<Vec<i64>>
+where
+    A: Copy + Into<i64>,
+    B: Copy + Into<i64>,
+{
+    check_divisors(op, r.iter().any(|&b| b.into() == 0))?;
+    Ok(int_op(op, l.iter().zip(r).map(|(&a, &b)| (a.into(), b.into()))))
+}
+
+/// Integer `lhs <op> r[i]`, widening `r` inside the loop.
+fn int_scalar_col<B: Copy + Into<i64>>(op: BinaryOp, lhs: i64, r: &[B]) -> Result<Vec<i64>> {
+    check_divisors(op, r.iter().any(|&b| b.into() == 0))?;
+    Ok(int_op(op, r.iter().map(|&b| (lhs, b.into()))))
+}
+
+/// Applies `op` to every pair; the op is matched once, not per row. Callers
+/// have already rejected zero divisors.
+fn int_op(op: BinaryOp, pairs: impl Iterator<Item = (i64, i64)>) -> Vec<i64> {
+    match op {
+        BinaryOp::Add => pairs.map(|(a, b)| a.wrapping_add(b)).collect(),
+        BinaryOp::Sub => pairs.map(|(a, b)| a.wrapping_sub(b)).collect(),
+        BinaryOp::Mul => pairs.map(|(a, b)| a.wrapping_mul(b)).collect(),
+        BinaryOp::Div => pairs.map(|(a, b)| a.wrapping_div(b)).collect(),
     }
 }
 
-fn is_int(t: DataType) -> bool {
-    matches!(t, DataType::Int64 | DataType::Int32)
-}
-
-/// Widens an integer column's visible values to `i64`, borrowing when the
-/// column is already `Int64`.
-fn widened_i64(col: &Column) -> Result<std::borrow::Cow<'_, [i64]>> {
-    match col.data_type() {
-        DataType::Int64 => Ok(std::borrow::Cow::Borrowed(col.i64_values()?)),
-        DataType::Int32 => {
-            Ok(std::borrow::Cow::Owned(col.i32_values()?.iter().map(|&v| v as i64).collect()))
-        }
-        other => Err(numeric_error(other, other)),
+/// Float counterpart of [`int_op`].
+fn float_op(op: BinaryOp, pairs: impl Iterator<Item = (f64, f64)>) -> Vec<f64> {
+    match op {
+        BinaryOp::Add => pairs.map(|(a, b)| a + b).collect(),
+        BinaryOp::Sub => pairs.map(|(a, b)| a - b).collect(),
+        BinaryOp::Mul => pairs.map(|(a, b)| a * b).collect(),
+        BinaryOp::Div => pairs.map(|(a, b)| a / b).collect(),
     }
 }
 
@@ -248,6 +239,32 @@ mod tests {
             calc_col_scalar(BinaryOp::Div, &f, &ScalarValue::F64(0.0)).unwrap_err(),
             OperatorError::DivisionByZero
         );
+    }
+
+    #[test]
+    fn divisor_checks_cover_every_row_but_not_empty_inputs() {
+        let a = Column::from_i32(vec![4, 5, 6]);
+        let b = Column::from_i32(vec![2, 1, 0]);
+        assert_eq!(calc_col_col(BinaryOp::Div, &a, &b).unwrap_err(), OperatorError::DivisionByZero);
+        assert_eq!(
+            calc_scalar_col(BinaryOp::Div, &ScalarValue::I64(1), &b).unwrap_err(),
+            OperatorError::DivisionByZero
+        );
+        let f = Column::from_f64(vec![1.0, -0.0]);
+        assert_eq!(
+            calc_scalar_col(BinaryOp::Div, &ScalarValue::F64(1.0), &f).unwrap_err(),
+            OperatorError::DivisionByZero
+        );
+        // A zero divisor is only an error when some row is divided by it.
+        let empty = Column::from_i64(vec![]);
+        let out = calc_col_scalar(BinaryOp::Div, &empty, &ScalarValue::I64(0)).unwrap();
+        assert!(out.is_empty());
+        assert!(calc_col_col(BinaryOp::Div, &empty, &empty).unwrap().is_empty());
+        // Division wraps like the other ops instead of panicking on overflow.
+        let min = Column::from_i64(vec![i64::MIN]);
+        let out = calc_col_scalar(BinaryOp::Div, &min, &ScalarValue::I64(-1)).unwrap();
+        assert_eq!(out.i64_values().unwrap(), &[i64::MIN]);
+        assert_eq!(calc_col_col(BinaryOp::Sub, &a, &b).unwrap().i64_values().unwrap(), &[2, 4, 6]);
     }
 
     #[test]

@@ -6,30 +6,69 @@
 //! while the hash table built on the inner input is shared by all probe
 //! clones (§2.1, Fig. 4). Accordingly:
 //!
-//! * [`JoinHashTable::build`] builds a chained hash table over the inner key
-//!   column once; the table is immutable afterwards and cheap to share
-//!   (`Arc`) between probe clones.
+//! * [`JoinHashTable::build`] builds a table over the inner key column once;
+//!   the table is immutable afterwards and cheap to share (`Arc`) between
+//!   probe clones.
 //! * [`JoinHashTable::probe`] probes with an outer key column (a slice of the
 //!   outer base column or a fetched intermediate) and produces matching
 //!   `(outer_oid, inner_oid)` pairs.
 //!
-//! The table is a classic bucket-head + next-chain layout specialized for
-//! integer keys — no per-bucket allocations, cache-friendly probing.
+//! # Layout
+//!
+//! The table borrows the build keys (an `Int64` column is shared, not
+//! copied; `Int32` keys are widened once) and stores only `u32` row links:
+//! a `heads` array of buckets and a `next` array chaining build rows that
+//! share a bucket. The inner oid of build row `r` is `base_oid + r`, so no
+//! oid array is kept. The bucket of a key is chosen from the input alone:
+//!
+//! * **Direct.** When the build keys span at most
+//!   `max(4 × rows, 65,536)` values, the bucket is `key − min`. A bucket then
+//!   holds exactly one key value, so a probe does not compare keys, and when
+//!   the build side has no duplicate keys the `next` array is dropped and a
+//!   probe reads one bucket.
+//! * **Hashed.** Otherwise the bucket is a Fibonacci hash of the key over a
+//!   power-of-two table of at least `2 × rows` buckets, and a probe walks
+//!   the chain comparing keys.
+//!
+//! The build is one pass that pushes each row onto the front of its
+//! bucket's chain. A probe therefore emits an outer row's matches in
+//! **descending build-row order**, in both layouts.
 
 use apq_columnar::{Column, DataType, Oid};
 
 use crate::error::{OperatorError, Result};
 
-const EMPTY: u32 = u32::MAX;
+/// Empty bucket / end of chain. Links store `row + 1`, so a zeroed
+/// allocation is an empty table.
+const EMPTY: u32 = 0;
+
+/// Build keys may span up to this many buckets per build row before the
+/// table falls back to hashing (with a floor of [`DIRECT_MIN_SPAN`]).
+const DIRECT_SPAN_PER_ROW: usize = 4;
+
+/// Key spans up to this size are always direct-addressed.
+const DIRECT_MIN_SPAN: usize = 1 << 16;
+
+/// How a key maps to its bucket.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// `bucket = key − min` for keys in `[min, max]`; every other key misses.
+    Direct { min: i64, max: i64 },
+    /// `bucket = hash_key(key, mask)`; chains hold colliding keys.
+    Hashed { mask: u64 },
+}
 
 /// An immutable hash table over the inner (build-side) join keys.
 #[derive(Debug)]
 pub struct JoinHashTable {
-    mask: u64,
+    /// Build keys as an `Int64` view.
+    keys: Column,
+    /// Oid of build row 0.
+    base: Oid,
+    layout: Layout,
     heads: Vec<u32>,
+    /// Chain links; empty for a direct table without duplicate keys.
     next: Vec<u32>,
-    keys: Vec<i64>,
-    oids: Vec<Oid>,
 }
 
 /// The output of a probe: parallel vectors of matching outer and inner oids.
@@ -93,33 +132,72 @@ fn hash_key(key: i64, mask: u64) -> usize {
     ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 & mask) as usize
 }
 
-/// Extracts the visible values of an integer key column, widened to `i64`.
-fn key_values(column: &Column) -> Result<Vec<i64>> {
+/// Number of buckets a direct table needs for keys in `[min, max]`, if it is
+/// within the direct-address budget for `rows` build rows.
+pub(crate) fn direct_span(min: i64, max: i64, rows: usize) -> Option<usize> {
+    let span = (max as i128 - min as i128 + 1) as u128;
+    let limit = (rows.saturating_mul(DIRECT_SPAN_PER_ROW)).max(DIRECT_MIN_SPAN);
+    (span <= limit as u128).then_some(span as usize)
+}
+
+/// Offset of `key` within `[min, max]`, or `None` outside it.
+#[inline]
+pub(crate) fn direct_slot(key: i64, min: i64, max: i64) -> Option<usize> {
+    // `key - min` cannot overflow as an unsigned offset once `key >= min`.
+    (key >= min && key <= max).then(|| key.wrapping_sub(min) as u64 as usize)
+}
+
+/// Calls `f(row, key)` for every visible row of an integer key column.
+fn for_each_key(column: &Column, mut f: impl FnMut(usize, i64)) -> Result<()> {
     match column.data_type() {
-        DataType::Int64 => Ok(column.i64_values()?.to_vec()),
-        DataType::Int32 => Ok(column.i32_values()?.iter().map(|&v| v as i64).collect()),
-        other => Err(OperatorError::UnsupportedJoinKey(other.name())),
+        DataType::Int64 => column.i64_values()?.iter().enumerate().for_each(|(i, &k)| f(i, k)),
+        DataType::Int32 => {
+            column.i32_values()?.iter().enumerate().for_each(|(i, &k)| f(i, k as i64))
+        }
+        other => return Err(OperatorError::UnsupportedJoinKey(other.name())),
     }
+    Ok(())
 }
 
 impl JoinHashTable {
-    /// Builds the hash table over the inner key column. Entry `i` records the
-    /// absolute oid `inner.base_oid() + i`.
+    /// Builds the hash table over the inner key column. Build row `i` stands
+    /// for the absolute oid `inner.base_oid() + i`.
     pub fn build(inner: &Column) -> Result<JoinHashTable> {
-        let keys = key_values(inner)?;
-        let n = keys.len();
-        let n_buckets = (n.max(1) * 2).next_power_of_two();
-        let mask = (n_buckets - 1) as u64;
+        let keys = match inner.data_type() {
+            DataType::Int64 => inner.clone(),
+            DataType::Int32 => {
+                Column::from_i64(inner.i32_values()?.iter().map(|&v| v as i64).collect())
+            }
+            other => return Err(OperatorError::UnsupportedJoinKey(other.name())),
+        };
+        let values = keys.i64_values()?;
+        let n = values.len();
+        let (min, max) =
+            values.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let direct = if n == 0 { None } else { direct_span(min, max, n) };
+        let (layout, n_buckets) = match direct {
+            Some(span) => (Layout::Direct { min, max }, span),
+            None => {
+                let n_buckets = (n.max(1) * 2).next_power_of_two();
+                (Layout::Hashed { mask: (n_buckets - 1) as u64 }, n_buckets)
+            }
+        };
         let mut heads = vec![EMPTY; n_buckets];
         let mut next = vec![EMPTY; n];
-        let base = inner.base_oid();
-        let oids: Vec<Oid> = (0..n as u64).map(|i| base + i).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            let b = hash_key(key, mask);
+        let mut chained = false;
+        for (i, &key) in values.iter().enumerate() {
+            let b = match layout {
+                Layout::Direct { min, .. } => key.wrapping_sub(min) as u64 as usize,
+                Layout::Hashed { mask } => hash_key(key, mask),
+            };
             next[i] = heads[b];
-            heads[b] = i as u32;
+            chained |= heads[b] != EMPTY;
+            heads[b] = i as u32 + 1;
         }
-        Ok(JoinHashTable { mask, heads, next, keys, oids })
+        if matches!(layout, Layout::Direct { .. }) && !chained {
+            next = Vec::new();
+        }
+        Ok(JoinHashTable { keys, base: inner.base_oid(), layout, heads, next })
     }
 
     /// Number of build-side entries.
@@ -134,40 +212,67 @@ impl JoinHashTable {
 
     /// Approximate memory footprint in bytes (profiler memory claim).
     pub fn byte_size(&self) -> usize {
-        self.heads.len() * 4 + self.next.len() * 4 + self.keys.len() * 8 + self.oids.len() * 8
+        self.heads.len() * 4 + self.next.len() * 4 + self.keys.len() * 8
     }
 
-    /// Returns the inner oids whose key equals `key`.
+    /// The build keys; `build` only ever stores an `Int64` column.
+    fn key_values(&self) -> &[i64] {
+        self.keys.i64_values().expect("join build keys are stored as Int64")
+    }
+
+    /// Chain link after build row `link - 1`; `EMPTY` for an unchained table.
+    #[inline]
+    fn next_link(&self, link: u32) -> u32 {
+        self.next.get(link as usize - 1).copied().unwrap_or(EMPTY)
+    }
+
+    /// Calls `emit(row, inner_oid)` for every outer row and match, in outer
+    /// row order and descending build-row order per outer row.
+    fn for_each_match(&self, outer: &Column, mut emit: impl FnMut(usize, Oid)) -> Result<()> {
+        let base = self.base;
+        match self.layout {
+            // A direct bucket holds one key value: no key compare.
+            Layout::Direct { min, max } => for_each_key(outer, |i, key| {
+                let Some(slot) = direct_slot(key, min, max) else { return };
+                let mut link = self.heads[slot];
+                while link != EMPTY {
+                    emit(i, base + (link - 1) as Oid);
+                    link = self.next_link(link);
+                }
+            }),
+            Layout::Hashed { mask } => {
+                let keys = self.key_values();
+                for_each_key(outer, |i, key| {
+                    let mut link = self.heads[hash_key(key, mask)];
+                    while link != EMPTY {
+                        let row = link as usize - 1;
+                        if keys[row] == key {
+                            emit(i, base + row as Oid);
+                        }
+                        link = self.next[row];
+                    }
+                })
+            }
+        }
+    }
+
+    /// Returns the inner oids whose key equals `key`, in descending order.
     pub fn lookup(&self, key: i64) -> Vec<Oid> {
         let mut out = Vec::new();
-        let mut e = self.heads[hash_key(key, self.mask)];
-        while e != EMPTY {
-            let i = e as usize;
-            if self.keys[i] == key {
-                out.push(self.oids[i]);
-            }
-            e = self.next[i];
-        }
+        self.for_each_match(&Column::from_i64(vec![key]), |_, inner| out.push(inner))
+            .expect("an Int64 probe column is always accepted");
         out
     }
 
     /// Probes the table with an outer key column. Each outer row's absolute
     /// oid is paired with every matching inner oid.
     pub fn probe(&self, outer: &Column) -> Result<JoinResult> {
-        let keys = key_values(outer)?;
         let base = outer.base_oid();
         let mut result = JoinResult::default();
-        for (i, &key) in keys.iter().enumerate() {
-            let mut e = self.heads[hash_key(key, self.mask)];
-            while e != EMPTY {
-                let j = e as usize;
-                if self.keys[j] == key {
-                    result.outer_oids.push(base + i as Oid);
-                    result.inner_oids.push(self.oids[j]);
-                }
-                e = self.next[j];
-            }
-        }
+        self.for_each_match(outer, |i, inner| {
+            result.outer_oids.push(base + i as Oid);
+            result.inner_oids.push(inner);
+        })?;
         Ok(result)
     }
 
@@ -182,19 +287,11 @@ impl JoinHashTable {
                 right: outer_oids.len(),
             });
         }
-        let keys = key_values(outer_keys)?;
         let mut result = JoinResult::default();
-        for (i, &key) in keys.iter().enumerate() {
-            let mut e = self.heads[hash_key(key, self.mask)];
-            while e != EMPTY {
-                let j = e as usize;
-                if self.keys[j] == key {
-                    result.outer_oids.push(outer_oids[i]);
-                    result.inner_oids.push(self.oids[j]);
-                }
-                e = self.next[j];
-            }
-        }
+        self.for_each_match(outer_keys, |i, inner| {
+            result.outer_oids.push(outer_oids[i]);
+            result.inner_oids.push(inner);
+        })?;
         Ok(result)
     }
 
@@ -202,20 +299,27 @@ impl JoinHashTable {
     /// (semi-join), returning the matching outer oids. Used for `EXISTS`
     /// style sub-queries (TPC-H Q4).
     pub fn probe_semi(&self, outer: &Column) -> Result<Vec<Oid>> {
-        let keys = key_values(outer)?;
         let base = outer.base_oid();
         let mut out = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let mut e = self.heads[hash_key(key, self.mask)];
-            while e != EMPTY {
-                let j = e as usize;
-                if self.keys[j] == key {
+        match self.layout {
+            Layout::Direct { min, max } => for_each_key(outer, |i, key| {
+                if direct_slot(key, min, max).is_some_and(|slot| self.heads[slot] != EMPTY) {
                     out.push(base + i as Oid);
-                    break;
                 }
-                e = self.next[j];
+            }),
+            Layout::Hashed { mask } => {
+                let keys = self.key_values();
+                for_each_key(outer, |i, key| {
+                    let mut link = self.heads[hash_key(key, mask)];
+                    while link != EMPTY && keys[link as usize - 1] != key {
+                        link = self.next[link as usize - 1];
+                    }
+                    if link != EMPTY {
+                        out.push(base + i as Oid);
+                    }
+                })
             }
-        }
+        }?;
         Ok(out)
     }
 }
@@ -235,6 +339,31 @@ mod tests {
         hits.sort_unstable();
         assert_eq!(hits, vec![1, 3]);
         assert!(ht.lookup(99).is_empty());
+    }
+
+    #[test]
+    fn layout_follows_the_key_span() {
+        // A small build direct-addresses spans up to 65,536 keys.
+        let direct = JoinHashTable::build(&Column::from_i64(vec![0, 65_535])).unwrap();
+        assert!(matches!(direct.layout, Layout::Direct { min: 0, max: 65_535 }));
+        assert!(direct.next.is_empty(), "unique keys need no chain");
+        let hashed = JoinHashTable::build(&Column::from_i64(vec![0, 65_536])).unwrap();
+        assert!(matches!(hashed.layout, Layout::Hashed { .. }));
+        let duplicated = JoinHashTable::build(&Column::from_i64(vec![5, 5])).unwrap();
+        assert_eq!(duplicated.next.len(), 2);
+        assert_eq!(duplicated.lookup(5), vec![1, 0]);
+        // Larger builds may span 4 keys per row.
+        assert_eq!(direct_span(0, 79_999, 20_000), Some(80_000));
+        assert_eq!(direct_span(0, 80_000, 20_000), None);
+        // The span and slot arithmetic hold at the ends of the domain.
+        assert_eq!(direct_span(i64::MIN, i64::MAX, usize::MAX), None);
+        assert_eq!(direct_span(i64::MAX - 9, i64::MAX, 1), Some(10));
+        assert_eq!(direct_slot(i64::MIN, i64::MAX - 9, i64::MAX), None);
+        assert_eq!(direct_slot(i64::MAX, i64::MAX - 9, i64::MAX), Some(9));
+        let extremes = JoinHashTable::build(&Column::from_i64(vec![i64::MIN, i64::MAX])).unwrap();
+        assert_eq!(extremes.lookup(i64::MAX), vec![1]);
+        assert_eq!(extremes.lookup(i64::MIN), vec![0]);
+        assert!(extremes.lookup(0).is_empty());
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl Predicate {
                 }
                 Ok(m)
             }
-            _ => self.eval_leaf(column),
+            _ => self.eval_leaf_with(column, MaskSink),
         }
     }
 
@@ -192,97 +192,152 @@ impl Predicate {
         }
     }
 
-    fn eval_leaf(&self, column: &Column) -> Result<Vec<bool>> {
+    /// True for `And`/`Or`/`Not`, which combine row masks of their operands;
+    /// every other variant is a leaf that tests one value at a time.
+    pub(crate) fn is_compound(&self) -> bool {
+        matches!(self, Predicate::And(..) | Predicate::Or(..) | Predicate::Not(..))
+    }
+
+    /// Lowers a leaf predicate over `column` to a typed value slice plus a
+    /// per-value test and hands both to `sink`.
+    ///
+    /// The row mask ([`Predicate::eval_mask`]), the oid-list select and the
+    /// candidate filter are three sinks over this one lowering, so they share
+    /// one predicate semantics. Each comparison operator is matched once per
+    /// call, so the sink's loop sees a branch-free test. Compound predicates
+    /// are a type error here; callers route them through `eval_mask`.
+    pub(crate) fn eval_leaf_with<S: LeafSink>(
+        &self,
+        column: &Column,
+        sink: S,
+    ) -> Result<S::Output> {
         match column.data_type() {
-            DataType::Int64 => self.eval_i64(column.i64_values()?, column),
-            DataType::Int32 => {
-                let vals = column.i32_values()?;
-                // Re-use the i64 paths by widening; predicates on dates are i32.
-                self.eval_i64_iter(vals.iter().map(|&v| v as i64), vals.len(), column)
+            DataType::Int64 => self.int_leaf(column.i64_values()?, |v| v, column, sink),
+            // Dates are i32; they compare against i64 constants widened per value.
+            DataType::Int32 => self.int_leaf(column.i32_values()?, |v| v as i64, column, sink),
+            DataType::Float64 => {
+                let values = column.f64_values()?;
+                match self {
+                    Predicate::Compare { op, value } => {
+                        let rhs = value.as_f64().ok_or_else(|| self.type_error(column))?;
+                        Ok(compare_leaf(values, |v| v, *op, rhs, sink))
+                    }
+                    Predicate::Between { lo, hi, lo_inclusive, hi_inclusive } => {
+                        let lo = lo.as_f64().ok_or_else(|| self.type_error(column))?;
+                        let hi = hi.as_f64().ok_or_else(|| self.type_error(column))?;
+                        let bounds = (lo, hi, *lo_inclusive, *hi_inclusive);
+                        Ok(between_leaf(values, |v| v, bounds, sink))
+                    }
+                    _ => Err(self.type_error(column)),
+                }
             }
-            DataType::Float64 => self.eval_f64(column.f64_values()?, column),
-            DataType::Bool => self.eval_bool(column.bool_values()?, column),
-            DataType::Str => self.eval_str(column),
+            DataType::Bool => {
+                let values = column.bool_values()?;
+                match self {
+                    Predicate::IsTrue => Ok(sink.run(values, |v| v)),
+                    Predicate::Compare { op: CmpOp::Eq, value: ScalarValue::Bool(b) } => {
+                        let b = *b;
+                        Ok(sink.run(values, move |v| v == b))
+                    }
+                    _ => Err(self.type_error(column)),
+                }
+            }
+            DataType::Str => {
+                let (codes, dict) = column.str_codes()?;
+                // Evaluate the predicate once per dictionary entry, then map codes.
+                let dict_mask: Vec<bool> = match self {
+                    Predicate::Compare { op, value } => {
+                        let rhs = value.as_str().ok_or_else(|| self.type_error(column))?;
+                        dict.iter().map(|s| op.holds(s.as_str(), rhs)).collect()
+                    }
+                    Predicate::Like { pattern } => {
+                        dict.iter().map(|s| like_match(pattern, s)).collect()
+                    }
+                    Predicate::InStr(set) => {
+                        dict.iter().map(|s| set.iter().any(|x| x == s)).collect()
+                    }
+                    _ => return Err(self.type_error(column)),
+                };
+                Ok(sink.run(codes, |c| dict_mask[c as usize]))
+            }
         }
     }
 
-    fn eval_i64(&self, values: &[i64], column: &Column) -> Result<Vec<bool>> {
-        self.eval_i64_iter(values.iter().copied(), values.len(), column)
-    }
-
-    fn eval_i64_iter<I: Iterator<Item = i64>>(
+    fn int_leaf<T: Copy, S: LeafSink>(
         &self,
-        values: I,
-        len: usize,
+        values: &[T],
+        widen: impl Fn(T) -> i64,
         column: &Column,
-    ) -> Result<Vec<bool>> {
-        let mut out = Vec::with_capacity(len);
+        sink: S,
+    ) -> Result<S::Output> {
         match self {
             Predicate::Compare { op, value } => {
                 let rhs = value.as_i64().ok_or_else(|| self.type_error(column))?;
-                out.extend(values.map(|v| op.holds(v, rhs)));
+                Ok(compare_leaf(values, widen, *op, rhs, sink))
             }
             Predicate::Between { lo, hi, lo_inclusive, hi_inclusive } => {
                 let lo = lo.as_i64().ok_or_else(|| self.type_error(column))?;
                 let hi = hi.as_i64().ok_or_else(|| self.type_error(column))?;
-                out.extend(values.map(|v| {
-                    let ge = if *lo_inclusive { v >= lo } else { v > lo };
-                    let le = if *hi_inclusive { v <= hi } else { v < hi };
-                    ge && le
-                }));
+                Ok(between_leaf(values, widen, (lo, hi, *lo_inclusive, *hi_inclusive), sink))
             }
-            Predicate::InI64(set) => {
-                out.extend(values.map(|v| set.contains(&v)));
-            }
-            _ => return Err(self.type_error(column)),
-        }
-        Ok(out)
-    }
-
-    fn eval_f64(&self, values: &[f64], column: &Column) -> Result<Vec<bool>> {
-        let mut out = Vec::with_capacity(values.len());
-        match self {
-            Predicate::Compare { op, value } => {
-                let rhs = value.as_f64().ok_or_else(|| self.type_error(column))?;
-                out.extend(values.iter().map(|&v| op.holds(v, rhs)));
-            }
-            Predicate::Between { lo, hi, lo_inclusive, hi_inclusive } => {
-                let lo = lo.as_f64().ok_or_else(|| self.type_error(column))?;
-                let hi = hi.as_f64().ok_or_else(|| self.type_error(column))?;
-                out.extend(values.iter().map(|&v| {
-                    let ge = if *lo_inclusive { v >= lo } else { v > lo };
-                    let le = if *hi_inclusive { v <= hi } else { v < hi };
-                    ge && le
-                }));
-            }
-            _ => return Err(self.type_error(column)),
-        }
-        Ok(out)
-    }
-
-    fn eval_bool(&self, values: &[bool], column: &Column) -> Result<Vec<bool>> {
-        match self {
-            Predicate::IsTrue => Ok(values.to_vec()),
-            Predicate::Compare { op: CmpOp::Eq, value: ScalarValue::Bool(b) } => {
-                Ok(values.iter().map(|&v| v == *b).collect())
-            }
+            Predicate::InI64(set) => Ok(sink.run(values, |v| set.contains(&widen(v)))),
             _ => Err(self.type_error(column)),
         }
     }
+}
 
-    fn eval_str(&self, column: &Column) -> Result<Vec<bool>> {
-        let (codes, dict) = column.str_codes()?;
-        // Evaluate the predicate once per dictionary entry, then map codes.
-        let dict_mask: Vec<bool> = match self {
-            Predicate::Compare { op, value } => {
-                let rhs = value.as_str().ok_or_else(|| self.type_error(column))?;
-                dict.iter().map(|s| op.holds(s.as_str(), rhs)).collect()
-            }
-            Predicate::Like { pattern } => dict.iter().map(|s| like_match(pattern, s)).collect(),
-            Predicate::InStr(set) => dict.iter().map(|s| set.iter().any(|x| x == s)).collect(),
-            _ => return Err(self.type_error(column)),
-        };
-        Ok(codes.iter().map(|&c| dict_mask[c as usize]).collect())
+/// Consumer of a lowered leaf predicate: a typed value slice plus a
+/// per-value test (see [`Predicate::eval_leaf_with`]).
+pub(crate) trait LeafSink {
+    /// What the sink produces from the slice.
+    type Output;
+
+    /// Consumes `values`, testing each with `hit`.
+    fn run<T: Copy>(self, values: &[T], hit: impl Fn(T) -> bool) -> Self::Output;
+}
+
+/// The row-mask sink behind [`Predicate::eval_mask`].
+struct MaskSink;
+
+impl LeafSink for MaskSink {
+    type Output = Vec<bool>;
+
+    fn run<T: Copy>(self, values: &[T], hit: impl Fn(T) -> bool) -> Vec<bool> {
+        values.iter().map(|&v| hit(v)).collect()
+    }
+}
+
+/// `key(v) <op> rhs`, one monomorphic test per operator.
+fn compare_leaf<T: Copy, U: PartialOrd + Copy, S: LeafSink>(
+    values: &[T],
+    key: impl Fn(T) -> U,
+    op: CmpOp,
+    rhs: U,
+    sink: S,
+) -> S::Output {
+    match op {
+        CmpOp::Eq => sink.run(values, |v| key(v) == rhs),
+        CmpOp::Ne => sink.run(values, |v| key(v) != rhs),
+        CmpOp::Lt => sink.run(values, |v| key(v) < rhs),
+        CmpOp::Le => sink.run(values, |v| key(v) <= rhs),
+        CmpOp::Gt => sink.run(values, |v| key(v) > rhs),
+        CmpOp::Ge => sink.run(values, |v| key(v) >= rhs),
+    }
+}
+
+/// `lo <(=) key(v) <(=) hi`, one monomorphic test per bound inclusivity.
+/// Both bounds are always evaluated (`&`), which keeps the test branch-free.
+fn between_leaf<T: Copy, U: PartialOrd + Copy, S: LeafSink>(
+    values: &[T],
+    key: impl Fn(T) -> U,
+    (lo, hi, lo_inclusive, hi_inclusive): (U, U, bool, bool),
+    sink: S,
+) -> S::Output {
+    match (lo_inclusive, hi_inclusive) {
+        (true, true) => sink.run(values, |v| (key(v) >= lo) & (key(v) <= hi)),
+        (true, false) => sink.run(values, |v| (key(v) >= lo) & (key(v) < hi)),
+        (false, true) => sink.run(values, |v| (key(v) > lo) & (key(v) <= hi)),
+        (false, false) => sink.run(values, |v| (key(v) > lo) & (key(v) < hi)),
     }
 }
 
