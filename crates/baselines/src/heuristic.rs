@@ -14,6 +14,11 @@
 //! aligned inputs are all partitioned is cloned once per partition; anything
 //! else receives the packed (exchange-union) result. This mirrors MonetDB's
 //! mitosis + mergetable optimizer pair.
+//!
+//! The work-stealing-style configuration of §4.1.1 ("a large number of
+//! smaller partitions (128) operated upon by 8 threads") is the same rewrite
+//! with far more partitions than workers: the engine's shared task queue
+//! already lets idle workers pick up the remaining partitions.
 
 use std::collections::HashMap;
 
@@ -410,5 +415,21 @@ mod tests {
         let out = engine.execute(&hp, &cat).unwrap().output;
         assert_eq!(out, expected);
         assert_eq!(hp.count_of("select"), 64);
+    }
+
+    #[test]
+    fn over_partitioned_plan_runs_on_few_threads_and_matches_serial() {
+        let rows = 20_000;
+        let cat = catalog(rows);
+        let engine = Engine::with_workers(4); // far fewer workers than partitions
+        let serial = filter_sum_plan(rows);
+        let expected = engine.execute(&serial, &cat).unwrap().output;
+        let ws = heuristic_parallelize(&serial, &cat, 32).unwrap();
+        ws.validate().unwrap();
+        assert_eq!(ws.count_of("select"), 32);
+        let exec = engine.execute(&ws, &cat).unwrap();
+        assert_eq!(exec.output, expected);
+        // With 32 partitions on 4 workers every worker executes something.
+        assert_eq!(exec.profile.workers_used(), 4);
     }
 }

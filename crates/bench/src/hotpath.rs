@@ -4,11 +4,9 @@
 //! owned-clone-then-pack per union part), plus morsel-mode TPC-H Q6/Q14 wall
 //! times on the engine as built.
 //!
-//! The `typed_access` section covers the other two hot-path claims of the
-//! typed-cache PR: repeated typed access through column windows (warm
-//! pointer-load path vs cold validate-and-publish path), and a TPC-H
-//! Q1-style grouped aggregate executed as a fused pipeline terminal
-//! (morsel mode) vs unfused (operator-at-a-time).
+//! The `groupagg_q1_style` section times a TPC-H Q1-style grouped aggregate
+//! executed as a fused pipeline terminal (morsel mode) vs unfused
+//! (operator-at-a-time).
 //!
 //! The `hotpath` binary writes the results as `BENCH_hotpath.json` at the
 //! repository root — the before/after trajectory record the ROADMAP asks
@@ -20,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use apq_columnar::partition::RowRange;
-use apq_columnar::{Catalog, Column, Oid};
+use apq_columnar::{Catalog, Oid};
 use apq_engine::interpreter::execute_node;
 use apq_engine::plan::{OperatorSpec, Plan};
 use apq_engine::{Chunk, Engine, EngineConfig, ExecutionMode, SchedulerPolicy};
@@ -149,43 +147,6 @@ fn fmt_ms(ms: f64) -> String {
     format!("{ms:.3}")
 }
 
-/// Rows per column in the typed-access microbench: small enough that the
-/// timed cost is the access path (tag match + publish vs pointer load),
-/// not memory bandwidth.
-const TYPED_WINDOW_ROWS: usize = 64;
-
-/// Typed accesses per timed pass (cold needs one fresh backing each).
-fn typed_accesses(cfg: &HotpathConfig) -> usize {
-    cfg.iters * 2_500
-}
-
-/// Cold path: the first typed access on each of `n` fresh backings — every
-/// access pays the tag match, the `OnceLock` publication and the validation
-/// counts. The columns are built before the clock starts.
-fn typed_cold_ms(n: usize) -> f64 {
-    let cols: Vec<Column> =
-        (0..n).map(|i| Column::from_i64(vec![i as i64; TYPED_WINDOW_ROWS])).collect();
-    let start = Instant::now();
-    for c in &cols {
-        black_box(c.i64_values().expect("typed access"));
-    }
-    start.elapsed().as_secs_f64() * 1_000.0
-}
-
-/// Warm path: `n` window accesses over one pre-validated backing — the
-/// morsel-driver shape (cut a window, read it typed), where every read is a
-/// lock-free pointer load plus window arithmetic.
-fn typed_warm_ms(n: usize) -> f64 {
-    let col = Column::from_i64((0..(n * TYPED_WINDOW_ROWS) as i64).collect());
-    black_box(col.i64_values().expect("warm-up access"));
-    let start = Instant::now();
-    for i in 0..n {
-        let w = col.slice(i * TYPED_WINDOW_ROWS, TYPED_WINDOW_ROWS).expect("window");
-        black_box(w.i64_values().expect("warm access"));
-    }
-    start.elapsed().as_secs_f64() * 1_000.0
-}
-
 /// TPC-H Q1-style grouped aggregate: `SELECT l_tax, sum(l_extendedprice)
 /// FROM lineitem GROUP BY l_tax`. Over range-aligned scans this fuses as a
 /// pipeline terminal in morsel mode and runs unfused operator-at-a-time.
@@ -263,16 +224,13 @@ pub fn run(cfg: &HotpathConfig) -> String {
         })
         .collect();
 
-    // --- typed-access caches + fused GroupAgg -------------------------
-    let accesses = typed_accesses(cfg);
-    let typed_cold = typed_cold_ms(accesses);
-    let typed_warm = typed_warm_ms(accesses);
+    // --- fused vs unfused GroupAgg ------------------------------------
     let group_plan = q1_style_group_plan(&catalog);
     let group_unfused = time_plan_ms(&oat, &catalog, &group_plan, cfg.reps);
     let group_fused = time_plan_ms(&morsel, &catalog, &group_plan, cfg.reps);
 
     format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"mode\": \"{mode}\",\n  \"config\": {{ \"stream_rows\": {stream_rows}, \"morsel_rows\": {morsel_rows}, \"iters\": {iters}, \"tpch_sf\": {tpch_sf}, \"reps\": {reps}, \"workers\": {workers} }},\n  \"slice_union_microbench\": {{\n    \"oids\": {{ \"windowed_ms\": {ow}, \"materializing_ms\": {om}, \"speedup\": {os:.2} }},\n    \"join\": {{ \"windowed_ms\": {jw}, \"materializing_ms\": {jm}, \"speedup\": {js:.2} }}\n  }},\n  \"typed_access\": {{\n    \"accesses\": {accesses},\n    \"repeat_window_access\": {{ \"warm_ms\": {tw}, \"cold_ms\": {tc}, \"speedup\": {ts:.2} }},\n    \"groupagg_q1_style\": {{ \"fused_ms\": {gf}, \"unfused_ms\": {gu} }}\n  }},\n  \"tpch_morsel_wall_time\": [\n{tpch}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"mode\": \"{mode}\",\n  \"config\": {{ \"stream_rows\": {stream_rows}, \"morsel_rows\": {morsel_rows}, \"iters\": {iters}, \"tpch_sf\": {tpch_sf}, \"reps\": {reps}, \"workers\": {workers} }},\n  \"slice_union_microbench\": {{\n    \"oids\": {{ \"windowed_ms\": {ow}, \"materializing_ms\": {om}, \"speedup\": {os:.2} }},\n    \"join\": {{ \"windowed_ms\": {jw}, \"materializing_ms\": {jm}, \"speedup\": {js:.2} }}\n  }},\n  \"groupagg_q1_style\": {{ \"fused_ms\": {gf}, \"unfused_ms\": {gu} }},\n  \"tpch_morsel_wall_time\": [\n{tpch}\n  ]\n}}\n",
         mode = cfg.mode,
         stream_rows = cfg.stream_rows,
         morsel_rows = cfg.morsel_rows,
@@ -286,9 +244,6 @@ pub fn run(cfg: &HotpathConfig) -> String {
         jw = fmt_ms(join_windowed),
         jm = fmt_ms(join_materializing),
         js = join_materializing / join_windowed.max(f64::EPSILON),
-        tw = fmt_ms(typed_warm),
-        tc = fmt_ms(typed_cold),
-        ts = typed_cold / typed_warm.max(f64::EPSILON),
         gf = fmt_ms(group_fused),
         gu = fmt_ms(group_unfused),
         tpch = tpch_rows.join(",\n"),
@@ -308,10 +263,6 @@ mod tests {
             "slice_union_microbench",
             "windowed_ms",
             "materializing_ms",
-            "typed_access",
-            "repeat_window_access",
-            "warm_ms",
-            "cold_ms",
             "groupagg_q1_style",
             "fused_ms",
             "unfused_ms",

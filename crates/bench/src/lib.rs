@@ -11,6 +11,8 @@
 //! what the experiments reproduce. See `EXPERIMENTS.md` at the repository
 //! root for the recorded comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod config;
 pub mod experiments;

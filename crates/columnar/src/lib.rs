@@ -31,7 +31,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::Catalog;
-pub use column::{typed_cache_hits, typed_cache_validations, Column, ColumnData};
+pub use column::{Column, ColumnData};
 pub use error::{ColumnarError, Result};
 pub use partition::{AlignmentScenario, PartitionSet, RowRange};
 pub use strings::StringColumn;

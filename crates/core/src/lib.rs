@@ -21,6 +21,7 @@
 //! * [`config`] / [`report`] — tunables and result structures.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod convergence;

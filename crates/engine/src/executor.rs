@@ -9,8 +9,11 @@
 //!
 //! [`Engine`] owns the worker pool ("interpreter per CPU core"); queries are
 //! submitted with [`Engine::execute`], which performs dependency-counting
-//! dataflow scheduling: a node becomes runnable when all its producers have
-//! finished and is then handed to the engine's [`Scheduler`]. *Which* worker
+//! dataflow scheduling over the plan's steps ([`crate::pipeline`]): a step
+//! becomes runnable when all its producers have published and is then handed
+//! to the engine's [`Scheduler`]. One driver serves both execution modes —
+//! under operator-at-a-time every node is its own step, in morsel mode a
+//! fused pipeline step fans out into one task per morsel. *Which* worker
 //! runs it *when* is the scheduler's choice — see [`crate::scheduler`] for
 //! the pluggable policies ([`SchedulerPolicy::GlobalQueue`], the seed
 //! engine's shared FIFO, and [`SchedulerPolicy::WorkStealing`], per-worker
@@ -39,7 +42,6 @@ use crate::controller::{
 use crate::error::{EngineError, Result};
 use crate::fault::{FaultConfig, FaultInjector, FaultKind, FaultStats};
 use crate::interpreter::{exchange_union, execute_node, slice_part};
-use crate::noise::{NoiseConfig, NoiseInjector};
 use crate::pipeline::{
     morsel_count, ExecutionMode, Pipeline, PipelinePlan, PipelineSource, Step, DEFAULT_MORSEL_ROWS,
 };
@@ -56,8 +58,6 @@ pub struct EngineConfig {
     /// Number of worker threads ("interpreters"). The paper's machines have
     /// 32 / 96 hardware threads; experiments here scale this down.
     pub n_workers: usize,
-    /// Optional synthetic OS-noise injection (convergence robustness tests).
-    pub noise: Option<NoiseConfig>,
     /// Fixed extra latency added to every operator execution, in
     /// microseconds. Used to emulate a platform with slower memory access
     /// (the 4-socket configuration of paper Fig. 17b).
@@ -96,7 +96,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             n_workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            noise: None,
             per_operator_overhead_us: 0,
             scheduler: SchedulerPolicy::default(),
             execution_mode: ExecutionMode::default(),
@@ -109,7 +108,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Configuration with an explicit worker count and no noise.
+    /// Configuration with an explicit worker count and defaults otherwise.
     pub fn with_workers(n_workers: usize) -> Self {
         EngineConfig { n_workers: n_workers.max(1), ..EngineConfig::default() }
     }
@@ -234,7 +233,6 @@ pub struct Engine {
     config: EngineConfig,
     scheduler: Arc<dyn Scheduler>,
     workers: Vec<JoinHandle<()>>,
-    noise: Option<Arc<NoiseInjector>>,
     next_query_id: AtomicU64,
     /// Queries currently inside `execute_with_handle` (all clients).
     in_flight: AtomicUsize,
@@ -265,7 +263,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("n_workers", &self.config.n_workers)
             .field("scheduler", &self.config.scheduler)
-            .field("noise", &self.config.noise)
+            .field("execution_mode", &self.config.execution_mode)
             .finish()
     }
 }
@@ -286,7 +284,6 @@ impl Engine {
                     .expect("failed to spawn worker thread"),
             );
         }
-        let noise = config.noise.clone().map(|c| Arc::new(NoiseInjector::new(c)));
         let registry: Arc<Mutex<HashMap<u64, Arc<QueryHandle>>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let controller = config
@@ -334,7 +331,6 @@ impl Engine {
             config,
             scheduler,
             workers,
-            noise,
             next_query_id: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
             registry,
@@ -669,97 +665,13 @@ impl Engine {
             return Err(err);
         }
 
-        if self.config.execution_mode == ExecutionMode::MorselDriven {
-            return self.execute_morsel_driven(plan, catalog, handle, concurrent_peers);
-        }
-
+        // Decompose the plan into steps ([`crate::pipeline`]). This is the
+        // one place the execution mode is read: operator-at-a-time is the
+        // step plan with fusion off, so every live node is its own step and
+        // the driver below dispatches one task per operator.
+        let dag = PipelinePlan::analyze(plan, self.config.execution_mode)?;
         let capacity = plan.capacity();
-        let live = plan.node_ids();
-        let mut deps: Vec<AtomicUsize> = Vec::with_capacity(capacity);
-        for id in 0..capacity {
-            let n = if plan.contains(id) { plan.node(id)?.inputs.len() } else { 0 };
-            deps.push(AtomicUsize::new(n));
-        }
-
-        let state = Arc::new(RunState {
-            plan: Arc::clone(plan),
-            catalog: Arc::clone(catalog),
-            handle,
-            results: (0..capacity).map(|_| OnceLock::new()).collect(),
-            profiles: (0..capacity).map(|_| OnceLock::new()).collect(),
-            deps,
-            remaining: AtomicUsize::new(live.len()),
-            failed: AtomicBool::new(false),
-            error: Mutex::new(None),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-            started: Instant::now(),
-            noise: self.noise.clone(),
-            faults: self.faults.clone(),
-            overhead_us: self.config.per_operator_overhead_us,
-            sharing: self.sharing.clone(),
-        });
-
-        // Seed the scheduler with every node that has no inputs. The check
-        // must use the static plan structure (not the atomic dependency
-        // counters): workers already run seeded nodes concurrently with this
-        // loop and may drive another node's counter to zero before the loop
-        // reaches it, which would double-schedule that node.
-        for &id in &live {
-            if plan.node(id)?.inputs.is_empty() {
-                let st = Arc::clone(&state);
-                let task = Task::new(Arc::clone(&state.handle), move |ctx| run_node(st, ctx, id));
-                if !self.scheduler.submit(task) {
-                    return Err(EngineError::EngineShutDown);
-                }
-            }
-        }
-
-        // Wait for completion (or failure).
-        {
-            let mut done = state.done.lock();
-            while !*done {
-                state.done_cv.wait(&mut done);
-            }
-        }
-        drain_query_tasks(&state.handle);
-        if let Some(err) = state.error.lock().clone() {
-            return Err(err);
-        }
-
-        let root = plan.root().expect("validated plan has a root");
-        let root_chunk = state.results[root]
-            .get()
-            .cloned()
-            .ok_or_else(|| EngineError::InvalidPlan("root node produced no result".to_string()))?;
-        let operators: Vec<OperatorProfile> =
-            state.profiles.iter().filter_map(OnceLock::get).cloned().collect();
-        let profile = QueryProfile {
-            wall_time: state.started.elapsed(),
-            n_workers: self.config.n_workers,
-            concurrent_peers,
-            operators,
-            pipelines: Vec::new(),
-            dop_timeline: state.handle.dop_timeline(),
-        };
-        Ok(QueryExecution { output: root_chunk.to_output(), profile })
-    }
-
-    /// Morsel-driven execution of a validated plan (see [`crate::pipeline`]).
-    ///
-    /// The plan is decomposed into fused pipelines and single-node steps;
-    /// each runnable pipeline fans out into one scheduler task per morsel.
-    /// Results are byte-identical to the operator-at-a-time path.
-    fn execute_morsel_driven(
-        &self,
-        plan: &Arc<Plan>,
-        catalog: &Arc<Catalog>,
-        handle: Arc<QueryHandle>,
-        concurrent_peers: usize,
-    ) -> Result<QueryExecution> {
-        let fused = PipelinePlan::analyze(plan)?;
-        let capacity = plan.capacity();
-        let n_steps = fused.steps.len();
+        let n_steps = dag.steps.len();
 
         // Partial-aggregate reuse ([`crate::sharing`]): before anything is
         // launched, probe the registry for cached terminal chunks of
@@ -772,7 +684,7 @@ impl Engine {
         let mut partial_keys: Vec<Option<PartialKey>> = vec![None; n_steps];
         let mut seeded: Vec<(NodeId, Chunk)> = Vec::new();
         if let Some(registry) = &self.sharing {
-            for (idx, step) in fused.steps.iter().enumerate() {
+            for (idx, step) in dag.steps.iter().enumerate() {
                 // A fused pipeline's terminal chunk is the exchange-union
                 // merge over its morsel grid, so the cache key carries the
                 // grid; single steps execute whole (grid 0).
@@ -803,8 +715,8 @@ impl Engine {
             let mut changed = false;
             for idx in 0..n_steps {
                 if !skipped[idx]
-                    && !fused.out_edges[idx].is_empty()
-                    && fused.out_edges[idx].iter().all(|&(c, _)| skipped[c])
+                    && !dag.out_edges[idx].is_empty()
+                    && dag.out_edges[idx].iter().all(|&(c, _)| skipped[c])
                 {
                     skipped[idx] = true;
                     changed = true;
@@ -816,15 +728,15 @@ impl Engine {
         }
         // Remove skipped producers' edges from the dependency counts so live
         // consumers do not wait on steps that will never run.
-        let mut adjusted_deps = fused.deps.clone();
+        let mut adjusted_deps = dag.deps.clone();
         for (idx, _) in skipped.iter().enumerate().filter(|(_, &skip)| skip) {
-            for &(consumer, edges) in &fused.out_edges[idx] {
+            for &(consumer, edges) in &dag.out_edges[idx] {
                 adjusted_deps[consumer] -= edges;
             }
         }
         let live_steps = skipped.iter().filter(|&&s| !s).count();
 
-        let state = Arc::new(MorselState {
+        let state = Arc::new(QueryRun {
             plan: Arc::clone(plan),
             catalog: Arc::clone(catalog),
             handle,
@@ -839,7 +751,6 @@ impl Engine {
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             started: Instant::now(),
-            noise: self.noise.clone(),
             faults: self.faults.clone(),
             overhead_us: self.config.per_operator_overhead_us,
             morsel_rows: self.config.morsel_rows.max(1),
@@ -847,7 +758,7 @@ impl Engine {
             sharing: self.sharing.clone(),
             partial_keys,
             skipped,
-            fused,
+            dag,
         });
 
         // Publish reused partials before any task can observe the slots.
@@ -861,9 +772,10 @@ impl Engine {
             state.finish();
         }
         // Seed every live step with no remaining cross-step dependencies.
-        // Like the operator-at-a-time path, seeding consults the *static*
-        // (pre-launch) dependency counts so concurrently running workers
-        // cannot double-launch a step.
+        // Seeding must consult the *static* (pre-launch) dependency counts,
+        // not the atomic counters: workers already run seeded steps
+        // concurrently with this loop and may drive another step's counter
+        // to zero before the loop reaches it, which would double-launch it.
         for (step, &deps) in adjusted_deps.iter().enumerate() {
             if !state.skipped[step] && deps == 0 {
                 let ok = launch_step(&state, step, &|task| self.scheduler.submit(task));
@@ -873,6 +785,7 @@ impl Engine {
             }
         }
 
+        // Wait for completion (or failure).
         {
             let mut done = state.done.lock();
             while !*done {
@@ -991,16 +904,33 @@ fn drain_query_tasks(handle: &QueryHandle) {
     }
 }
 
-struct RunState {
+// -------------------------------------------------------------- step driver
+//
+// Dependency tracking happens at *step* granularity (a step is a fused
+// pipeline or a single node, see `crate::pipeline`). A runnable single step
+// executes its node whole; a runnable pipeline fans out into one task per
+// morsel, and the last morsel to finish assembles the partial outputs in
+// morsel order and publishes the terminal chunk exactly where whole-node
+// execution would have published it. Under operator-at-a-time every step is
+// single, so this one driver serves both execution modes.
+
+/// Shared state of one query execution.
+struct QueryRun {
     plan: Arc<Plan>,
     catalog: Arc<Catalog>,
     handle: Arc<QueryHandle>,
-    /// One write-once slot per plan node: a producer publishes its chunk,
-    /// consumers read it lock-free. Replaces the seed engine's whole-`Vec`
-    /// mutex, which serialized input gathering under high DOP.
+    /// One write-once chunk slot per plan node: a producer publishes its
+    /// chunk, consumers read it lock-free. Only published nodes (single
+    /// steps and pipeline terminals) are ever set.
     results: Vec<OnceLock<Chunk>>,
     profiles: Vec<OnceLock<OperatorProfile>>,
-    deps: Vec<AtomicUsize>,
+    /// Remaining cross-step input edges per step.
+    step_deps: Vec<AtomicUsize>,
+    /// Morsel bookkeeping per step; set when the step is launched (fused
+    /// steps only).
+    fused_runs: Vec<OnceLock<Arc<FusedRun>>>,
+    pipeline_profiles: Mutex<Vec<PipelineProfile>>,
+    /// Steps still to complete.
     remaining: AtomicUsize,
     /// Fast-path flag mirroring `error.is_some()`.
     failed: AtomicBool,
@@ -1008,14 +938,33 @@ struct RunState {
     done: Mutex<bool>,
     done_cv: Condvar,
     started: Instant,
-    noise: Option<Arc<NoiseInjector>>,
     faults: Option<Arc<FaultInjector>>,
     overhead_us: u64,
+    /// Engine-default morsel size; each pipeline launch may override it
+    /// with the query's live hint (see [`FusedRun::morsel_rows`]).
+    morsel_rows: usize,
+    n_workers: usize,
     /// Shared-scan coordinator ([`crate::sharing`]); `None` when disabled.
     sharing: Option<Arc<ScanRegistry>>,
+    /// Per-step partial-aggregate cache key; `Some` only for steps whose
+    /// terminal is a cacheable aggregate and sharing is enabled.
+    partial_keys: Vec<Option<PartialKey>>,
+    /// Steps satisfied by a cached partial (or feeding only such steps);
+    /// they are never launched, their terminal chunk is seeded instead.
+    skipped: Vec<bool>,
+    dag: PipelinePlan,
 }
 
-impl RunState {
+/// Cache key of a step's partial-aggregate entry ([`crate::sharing`]): the
+/// terminal's structural signature plus the base tables its subtree reads
+/// (the per-table invalidation handle).
+#[derive(Clone)]
+struct PartialKey {
+    signature: String,
+    tables: Vec<String>,
+}
+
+impl QueryRun {
     fn finish(&self) {
         let mut done = self.done.lock();
         *done = true;
@@ -1032,102 +981,57 @@ impl RunState {
         self.failed.store(true, Ordering::Release);
         self.finish();
     }
-}
 
-fn run_node(state: Arc<RunState>, ctx: &TaskContext<'_>, node: NodeId) {
-    // A failed sibling already tore the query down; do nothing.
-    if state.failed.load(Ordering::Acquire) {
-        return;
-    }
-    if let Some(err) = liveness_error(&state.handle) {
-        return state.fail(err);
-    }
-    let mut inject_panic = false;
-    if let Some(faults) = &state.faults {
-        match faults.operator_fault(state.handle.id(), node) {
+    /// The chaos layer's outcome-changing fault decision for one operator
+    /// execution. A [`FaultKind::SpuriousCancel`] flips the real cancel flag
+    /// (so every later checkpoint observes the same cancellation an
+    /// external client would have caused) and returns `Err(Cancelled)`;
+    /// `Ok(true)` asks [`guarded_execute`] to inject a
+    /// [`FaultKind::OperatorPanic`].
+    fn inject_fault(&self, node: NodeId) -> Result<bool> {
+        match self.faults.as_ref().and_then(|f| f.operator_fault(self.handle.id(), node)) {
             Some(FaultKind::SpuriousCancel) => {
-                // Flip the real cancel flag so every later checkpoint of the
-                // query observes the same cancellation an external client
-                // would have caused.
-                state.handle.cancel();
-                return state.fail(EngineError::Cancelled);
+                self.handle.cancel();
+                Err(EngineError::Cancelled)
             }
-            Some(FaultKind::OperatorPanic) => inject_panic = true,
-            _ => {}
-        }
-    }
-    if let Err(e) = execute_and_publish(
-        &state.plan,
-        &state.catalog,
-        &state.results,
-        &state.profiles,
-        state.started,
-        state.noise.as_deref(),
-        state.overhead_us,
-        ctx,
-        node,
-        state.faults.as_deref().map(|f| (f, state.handle.id())),
-        inject_panic,
-        state.sharing.as_deref(),
-        &state.handle,
-    ) {
-        return state.fail(e);
-    }
-
-    // Wake up consumers whose dependencies are now all satisfied; follow-up
-    // tasks go through the task context, so a work-stealing scheduler keeps
-    // them on this worker's local deque (the producing core's cache is hot).
-    for consumer in state.plan.consumers(node) {
-        let edges = state
-            .plan
-            .node(consumer)
-            .map(|c| c.inputs.iter().filter(|&&i| i == node).count())
-            .unwrap_or(0);
-        if edges == 0 {
-            continue;
-        }
-        let before = state.deps[consumer].fetch_sub(edges, Ordering::AcqRel);
-        if before == edges {
-            let st = Arc::clone(&state);
-            ctx.submit(Task::new(Arc::clone(&state.handle), move |ctx| {
-                run_node(st, ctx, consumer)
-            }));
+            Some(FaultKind::OperatorPanic) => Ok(true),
+            _ => Ok(false),
         }
     }
 
-    if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        state.finish();
+    /// Emulated per-dispatch overhead plus the chaos layer's site-keyed
+    /// [`FaultKind::Delay`], applied once per task (an operator of a single
+    /// step, or a morsel keyed on its pipeline terminal). Timing-only.
+    fn emulate_delays(&self, node: NodeId) {
+        if self.overhead_us > 0 {
+            std::thread::sleep(std::time::Duration::from_micros(self.overhead_us));
+        }
+        if let Some(faults) = &self.faults {
+            let delay = faults.operator_delay_us(self.handle.id(), node);
+            if delay > 0 {
+                std::thread::sleep(std::time::Duration::from_micros(delay));
+            }
+        }
     }
 }
 
 /// Gathers `node`'s materialized inputs from the write-once slots, executes
-/// the operator (panic-guarded, with emulated overhead/noise applied), and
-/// publishes its chunk and profile. The whole-node execution protocol,
-/// shared by the operator-at-a-time path ([`run_node`]) and morsel mode's
-/// single-node steps ([`run_single_step`]) so the two execution models
-/// cannot drift. Errors are returned for the caller to fail the query with.
-#[allow(clippy::too_many_arguments)]
+/// the operator (panic-guarded, with emulated overhead and delays applied),
+/// and publishes its chunk and profile: the whole-node execution protocol of
+/// a single step. Errors are returned for the caller to fail the query with.
 fn execute_and_publish(
-    plan: &Plan,
-    catalog: &Arc<Catalog>,
-    results: &[OnceLock<Chunk>],
-    profiles: &[OnceLock<OperatorProfile>],
-    started: Instant,
-    noise: Option<&NoiseInjector>,
-    overhead_us: u64,
+    state: &QueryRun,
     ctx: &TaskContext<'_>,
     node: NodeId,
-    faults: Option<(&FaultInjector, u64)>,
     inject_panic: bool,
-    sharing: Option<&ScanRegistry>,
-    query: &QueryHandle,
 ) -> Result<()> {
-    let node_ref = plan.node(node)?.clone();
+    let node_ref = state.plan.node(node)?.clone();
+    let catalog = &state.catalog;
 
     // Gather the (already materialized) inputs from their write-once slots.
     let mut inputs: Vec<Chunk> = Vec::with_capacity(node_ref.inputs.len());
     for &input in &node_ref.inputs {
-        match results.get(input).and_then(OnceLock::get) {
+        match state.results.get(input).and_then(OnceLock::get) {
             Some(chunk) => inputs.push(chunk.clone()),
             None => {
                 return Err(EngineError::InvalidPlan(format!(
@@ -1138,7 +1042,7 @@ fn execute_and_publish(
     }
 
     let queue_wait_us = ctx.queue_wait.as_micros() as u64;
-    let start_us = started.elapsed().as_micros() as u64;
+    let start_us = state.started.elapsed().as_micros() as u64;
     let outcome = match &node_ref.spec {
         OperatorSpec::ScanColumn { table, column, range } => {
             // Whole-node scans go through the shared-scan coordinator when
@@ -1147,7 +1051,7 @@ fn execute_and_publish(
             // chunk. Fault-injected executions bypass the coordinator — an
             // injected panic must fail this query, never poison (or be
             // masked by) a window other queries reuse.
-            let served = match sharing {
+            let served = match &state.sharing {
                 Some(registry) if !inject_panic => {
                     let scan = registry.attach(catalog, table, column);
                     scan.window(range.start, range.end, || {
@@ -1158,27 +1062,14 @@ fn execute_and_publish(
                     .map(|chunk| (chunk, false)),
             };
             served.map(|(chunk, shared)| {
-                query.record_morsel(shared);
+                state.handle.record_morsel(shared);
                 chunk
             })
         }
         _ => guarded_execute(node, &node_ref.spec, &inputs, catalog, inject_panic),
     };
-    if overhead_us > 0 {
-        std::thread::sleep(std::time::Duration::from_micros(overhead_us));
-    }
-    if let Some(noise) = noise {
-        noise.inject();
-    }
-    if let Some((faults, query_id)) = faults {
-        // Chaos-layer delay: like noise, but site-keyed and deterministic
-        // per seed. Timing-only — results are unaffected by construction.
-        let delay = faults.operator_delay_us(query_id, node);
-        if delay > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(delay));
-        }
-    }
-    let end_us = started.elapsed().as_micros() as u64;
+    state.emulate_delays(node);
+    let end_us = state.started.elapsed().as_micros() as u64;
 
     let chunk = outcome?;
     let profile = OperatorProfile {
@@ -1191,10 +1082,10 @@ fn execute_and_publish(
         rows_out: chunk.rows(),
         bytes_out: chunk.byte_size(),
     };
-    if profiles[node].set(profile).is_err() {
+    if state.profiles[node].set(profile).is_err() {
         return Err(EngineError::InvalidPlan(format!("node {node} executed twice")));
     }
-    if results[node].set(chunk).is_err() {
+    if state.results[node].set(chunk).is_err() {
         return Err(EngineError::InvalidPlan(format!("node {node} produced two results")));
     }
     Ok(())
@@ -1230,84 +1121,6 @@ fn guarded_execute(
     })
 }
 
-// ------------------------------------------------------------- morsel driver
-//
-// The morsel-driven execution path. Dependency tracking happens at *step*
-// granularity (a step is a fused pipeline or a single pipeline-breaker node,
-// see `crate::pipeline`); a runnable pipeline fans out into one task per
-// morsel, and the last morsel to finish assembles the partial outputs in
-// morsel order and publishes the terminal chunk exactly where the
-// operator-at-a-time path would have published it.
-
-/// Shared state of one morsel-driven query execution (the step-granular
-/// analogue of [`RunState`]).
-struct MorselState {
-    plan: Arc<Plan>,
-    catalog: Arc<Catalog>,
-    handle: Arc<QueryHandle>,
-    /// Write-once chunk slot per plan node; only published nodes (single
-    /// steps and pipeline terminals) are ever set.
-    results: Vec<OnceLock<Chunk>>,
-    profiles: Vec<OnceLock<OperatorProfile>>,
-    /// Remaining cross-step input edges per step.
-    step_deps: Vec<AtomicUsize>,
-    /// Morsel bookkeeping per step; set when the step is launched (fused
-    /// steps only).
-    fused_runs: Vec<OnceLock<Arc<FusedRun>>>,
-    pipeline_profiles: Mutex<Vec<PipelineProfile>>,
-    /// Steps still to complete.
-    remaining: AtomicUsize,
-    failed: AtomicBool,
-    error: Mutex<Option<EngineError>>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
-    started: Instant,
-    noise: Option<Arc<NoiseInjector>>,
-    faults: Option<Arc<FaultInjector>>,
-    overhead_us: u64,
-    /// Engine-default morsel size; each pipeline launch may override it
-    /// with the query's live hint (see [`FusedRun::morsel_rows`]).
-    morsel_rows: usize,
-    n_workers: usize,
-    /// Shared-scan coordinator ([`crate::sharing`]); `None` when disabled.
-    sharing: Option<Arc<ScanRegistry>>,
-    /// Per-step partial-aggregate cache key; `Some` only for steps whose
-    /// terminal is a cacheable aggregate and sharing is enabled.
-    partial_keys: Vec<Option<PartialKey>>,
-    /// Steps satisfied by a cached partial (or feeding only such steps);
-    /// they are never launched, their terminal chunk is seeded instead.
-    skipped: Vec<bool>,
-    fused: PipelinePlan,
-}
-
-/// Cache key of a step's partial-aggregate entry ([`crate::sharing`]): the
-/// terminal's structural signature plus the base tables its subtree reads
-/// (the per-table invalidation handle).
-#[derive(Clone)]
-struct PartialKey {
-    signature: String,
-    tables: Vec<String>,
-}
-
-impl MorselState {
-    fn finish(&self) {
-        let mut done = self.done.lock();
-        *done = true;
-        self.done_cv.notify_all();
-    }
-
-    fn fail(&self, err: EngineError) {
-        {
-            let mut slot = self.error.lock();
-            if slot.is_none() {
-                *slot = Some(err);
-            }
-        }
-        self.failed.store(true, Ordering::Release);
-        self.finish();
-    }
-}
-
 /// Per-pipeline morsel bookkeeping, created when the pipeline is launched
 /// (its fan-out depends on the actual source size).
 struct FusedRun {
@@ -1339,9 +1152,6 @@ struct FusedRun {
     shared: Option<SharedScan>,
     /// Morsels of this pipeline served from the group's published windows.
     morsels_shared: AtomicU64,
-    /// Process-wide typed-cache hit count sampled at launch; assembly
-    /// reports the delta as [`PipelineProfile::typed_cache_hits`].
-    typed_hits_at_launch: u64,
 }
 
 impl FusedRun {
@@ -1358,10 +1168,10 @@ impl FusedRun {
 ///
 /// Returns `false` only when the scheduler refused a submission (engine shut
 /// down). Query-level failures (bad catalog references, double launches) are
-/// routed through [`MorselState::fail`] and return `true` — the engine is
+/// routed through [`QueryRun::fail`] and return `true` — the engine is
 /// alive, the query is not.
-fn launch_step(state: &Arc<MorselState>, step: usize, submit: &dyn Fn(Task) -> bool) -> bool {
-    match &state.fused.steps[step] {
+fn launch_step(state: &Arc<QueryRun>, step: usize, submit: &dyn Fn(Task) -> bool) -> bool {
+    match &state.dag.steps[step] {
         Step::Single(node) => {
             let st = Arc::clone(state);
             let node = *node;
@@ -1438,7 +1248,6 @@ fn launch_step(state: &Arc<MorselState>, step: usize, submit: &dyn Fn(Task) -> b
                 start_us: state.started.elapsed().as_micros() as u64,
                 shared,
                 morsels_shared: AtomicU64::new(0),
-                typed_hits_at_launch: apq_columnar::typed_cache_hits(),
             });
             if state.fused_runs[step].set(run).is_err() {
                 state.fail(EngineError::InvalidPlan(format!("step {step} launched twice")));
@@ -1458,39 +1267,22 @@ fn launch_step(state: &Arc<MorselState>, step: usize, submit: &dyn Fn(Task) -> b
     }
 }
 
-/// Executes a pipeline-breaker step whole, exactly like the
-/// operator-at-a-time path, then advances the step graph.
-fn run_single_step(state: Arc<MorselState>, ctx: &TaskContext<'_>, step: usize, node: NodeId) {
+/// Executes a single-node step whole — every step under operator-at-a-time,
+/// pipeline breakers and unfusable nodes in morsel mode — then advances the
+/// step graph.
+fn run_single_step(state: Arc<QueryRun>, ctx: &TaskContext<'_>, step: usize, node: NodeId) {
+    // A failed sibling already tore the query down; do nothing.
     if state.failed.load(Ordering::Acquire) {
         return;
     }
     if let Some(err) = liveness_error(&state.handle) {
         return state.fail(err);
     }
-    let mut inject_panic = false;
-    match morsel_fault(&state, node) {
-        Some(FaultKind::SpuriousCancel) => {
-            state.handle.cancel();
-            return state.fail(EngineError::Cancelled);
-        }
-        Some(FaultKind::OperatorPanic) => inject_panic = true,
-        _ => {}
-    }
-    if let Err(e) = execute_and_publish(
-        &state.plan,
-        &state.catalog,
-        &state.results,
-        &state.profiles,
-        state.started,
-        state.noise.as_deref(),
-        state.overhead_us,
-        ctx,
-        node,
-        state.faults.as_deref().map(|f| (f, state.handle.id())),
-        inject_panic,
-        state.sharing.as_deref(),
-        &state.handle,
-    ) {
+    let inject_panic = match state.inject_fault(node) {
+        Ok(inject) => inject,
+        Err(e) => return state.fail(e),
+    };
+    if let Err(e) = execute_and_publish(&state, ctx, node, inject_panic) {
         return state.fail(e);
     }
     // Keep a whole-node aggregate partial warm for the next query of the
@@ -1509,26 +1301,17 @@ fn run_single_step(state: Arc<MorselState>, ctx: &TaskContext<'_>, step: usize, 
     complete_step(&state, ctx, step);
 }
 
-/// The chaos layer's outcome-changing fault decision for one operator
-/// execution in morsel mode. `None` when injection is off or the site is
-/// fault-free; the caller maps [`FaultKind::SpuriousCancel`] to a real
-/// cancellation and [`FaultKind::OperatorPanic`] to an injected panic inside
-/// [`guarded_execute`].
-fn morsel_fault(state: &MorselState, node: NodeId) -> Option<FaultKind> {
-    state.faults.as_ref().and_then(|f| f.operator_fault(state.handle.id(), node))
-}
-
 /// Executes one morsel: slices the pipeline's source, streams the slice
 /// through every fused stage, and stores the terminal partial output. The
 /// last morsel to finish assembles and publishes.
-fn run_morsel(state: Arc<MorselState>, ctx: &TaskContext<'_>, step: usize, morsel: usize) {
+fn run_morsel(state: Arc<QueryRun>, ctx: &TaskContext<'_>, step: usize, morsel: usize) {
     if state.failed.load(Ordering::Acquire) {
         return;
     }
     if let Some(err) = liveness_error(&state.handle) {
         return state.fail(err);
     }
-    let Step::Fused(pipeline) = &state.fused.steps[step] else {
+    let Step::Fused(pipeline) = &state.dag.steps[step] else {
         return state.fail(EngineError::InvalidPlan(format!("step {step} is not a pipeline")));
     };
     let run = Arc::clone(
@@ -1554,13 +1337,9 @@ fn run_morsel(state: Arc<MorselState>, ctx: &TaskContext<'_>, step: usize, morse
             let lo = run.scan_start + morsel * morsel_rows;
             let hi = (lo + morsel_rows).min(run.scan_start + run.source_rows);
             let sub = OperatorSpec::ScanColumn { table, column, range: RowRange::new(lo, hi) };
-            let inject_panic = match morsel_fault(&state, node) {
-                Some(FaultKind::SpuriousCancel) => {
-                    state.handle.cancel();
-                    return state.fail(EngineError::Cancelled);
-                }
-                Some(FaultKind::OperatorPanic) => true,
-                _ => false,
+            let inject_panic = match state.inject_fault(node) {
+                Ok(inject) => inject,
+                Err(e) => return state.fail(e),
             };
             let started = Instant::now();
             // Produce-or-reuse through the scan group: the first member to
@@ -1657,13 +1436,9 @@ fn run_morsel(state: Arc<MorselState>, ctx: &TaskContext<'_>, step: usize, morse
                 inputs.push(chunk.clone());
             }
         }
-        let inject_panic = match morsel_fault(&state, stage) {
-            Some(FaultKind::SpuriousCancel) => {
-                state.handle.cancel();
-                return state.fail(EngineError::Cancelled);
-            }
-            Some(FaultKind::OperatorPanic) => true,
-            _ => false,
+        let inject_panic = match state.inject_fault(stage) {
+            Ok(inject) => inject,
+            Err(e) => return state.fail(e),
         };
         let started = Instant::now();
         match guarded_execute(stage, &node_ref.spec, &inputs, &state.catalog, inject_panic) {
@@ -1676,22 +1451,9 @@ fn run_morsel(state: Arc<MorselState>, ctx: &TaskContext<'_>, step: usize, morse
         }
     }
 
-    // Emulated overhead / noise apply once per morsel (the morsel is the
-    // dispatch unit here, as the operator is in operator-at-a-time mode).
-    if state.overhead_us > 0 {
-        std::thread::sleep(std::time::Duration::from_micros(state.overhead_us));
-    }
-    if let Some(noise) = &state.noise {
-        noise.inject();
-    }
-    if let Some(faults) = &state.faults {
-        // Chaos-layer delay, once per morsel (the dispatch unit here), keyed
-        // on the pipeline terminal. Timing-only.
-        let delay = faults.operator_delay_us(state.handle.id(), pipeline.terminal());
-        if delay > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(delay));
-        }
-    }
+    // Emulated overhead and delays apply once per morsel (the morsel is the
+    // dispatch unit here), keyed on the pipeline terminal.
+    state.emulate_delays(pipeline.terminal());
 
     run.morsels_by_worker[ctx.worker].fetch_add(1, Ordering::Relaxed);
     run.queue_wait_us.fetch_add(ctx.queue_wait.as_micros() as u64, Ordering::Relaxed);
@@ -1711,7 +1473,7 @@ fn run_morsel(state: Arc<MorselState>, ctx: &TaskContext<'_>, step: usize, morse
 /// terminal chunk and the per-node/per-pipeline profiles, and advances the
 /// step graph.
 fn assemble_pipeline(
-    state: &Arc<MorselState>,
+    state: &Arc<QueryRun>,
     ctx: &TaskContext<'_>,
     step: usize,
     pipeline: &Pipeline,
@@ -1784,7 +1546,6 @@ fn assemble_pipeline(
             state.plan.node(terminal).map(|n| &n.spec),
             Ok(OperatorSpec::GroupAgg { .. })
         ),
-        typed_cache_hits: apq_columnar::typed_cache_hits().saturating_sub(run.typed_hits_at_launch),
     });
 
     // Keep the assembled aggregate partial warm for the next query of the
@@ -1810,8 +1571,8 @@ fn assemble_pipeline(
 /// all satisfied (their tasks go through the task context, so work-stealing
 /// schedulers keep them on the publishing worker's deque) and finishes the
 /// query when every step is done.
-fn complete_step(state: &Arc<MorselState>, ctx: &TaskContext<'_>, step: usize) {
-    for &(consumer, edges) in &state.fused.out_edges[step] {
+fn complete_step(state: &Arc<QueryRun>, ctx: &TaskContext<'_>, step: usize) {
+    for &(consumer, edges) in &state.dag.out_edges[step] {
         let before = state.step_deps[consumer].fetch_sub(edges, Ordering::AcqRel);
         if before == edges {
             // A consumer satisfied from the partial cache already has its
@@ -2016,12 +1777,16 @@ mod tests {
         assert_eq!(q.output, s.output);
         assert!(s.profile.total_cpu_us() > q.profile.total_cpu_us() + 1_000);
 
-        let noisy = Engine::new(EngineConfig {
-            noise: Some(NoiseConfig { probability: 1.0, max_delay_us: 300, seed: 7 }),
-            ..EngineConfig::with_workers(2)
-        });
+        // Site-keyed delays on every operator: timing-only, so the result
+        // is unchanged and one delay fires per executed operator.
+        let noisy = Engine::new(EngineConfig::with_workers(2).with_faults(FaultConfig {
+            delay_probability: 1.0,
+            max_delay_us: 300,
+            ..FaultConfig::quiet(7)
+        }));
         let n = noisy.execute(&plan, &cat).unwrap();
         assert_eq!(n.output, q.output);
+        assert_eq!(noisy.fault_stats().delays, n.profile.operators.len() as u64);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! The source paper motivates its convergence algorithm with survival in "a
 //! noisy environment (operating system process interference, memory flushes,
-//! etc.)" (§3.3.3). [`crate::noise`] reproduces the *timing* half of that
-//! environment (random per-operator delays); this module generalizes it to
-//! the full failure menagerie a production service must shrug off:
+//! etc.)" (§3.3.3). This module reproduces that environment, from its
+//! *timing* half (per-operator delays) to the full failure menagerie a
+//! production service must shrug off:
 //!
-//! * [`FaultKind::Delay`] — an operator execution is stretched (the
-//!   [`crate::noise`] behavior, folded into the unified layer);
+//! * [`FaultKind::Delay`] — an operator execution is stretched (timing
+//!   noise for convergence-robustness runs);
 //! * [`FaultKind::OperatorPanic`] — an operator panics mid-execution,
 //!   exercising the executor's panic containment
 //!   ([`crate::EngineError::WorkerPanicked`] must wake the client, the
@@ -22,10 +22,10 @@
 //! # Determinism
 //!
 //! Worker interleaving is not reproducible, so a shared-RNG design (draws
-//! consumed in arrival order, like [`crate::noise::NoiseInjector`]) would
-//! make chaos runs unrepeatable. Here every decision is a **pure function
-//! of the fault site**: `hash(seed, kind, query_id, operator)` decides
-//! whether the fault fires and how large it is. Two runs with the same seed
+//! consumed in arrival order) would make chaos runs unrepeatable. Here
+//! every decision is a **pure function of the fault site**:
+//! `hash(seed, kind, query_id, operator)` decides whether the fault fires
+//! and how large it is. Two runs with the same seed
 //! and the same (query id, operator) population inject byte-for-byte the
 //! same outcome-changing faults regardless of thread timing — which is what
 //! lets `tests/chaos_stress.rs` assert exact error outcomes from a seed.

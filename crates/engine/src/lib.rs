@@ -1,4 +1,5 @@
-//! Operator-at-a-time dataflow execution engine.
+//! Dataflow execution engine: operator-at-a-time by default, morsel-driven
+//! pipelines on request, both run by one step driver.
 //!
 //! This crate is the MonetDB-analogue substrate the paper's adaptive
 //! parallelization runs on:
@@ -12,9 +13,10 @@
 //! * [`executor`] — the shared worker pool and dependency-driven dataflow
 //!   executor ("an operator is scheduled for execution once all its input
 //!   sources are available"), usable concurrently by many client threads;
-//! * [`pipeline`] — the morsel-driven execution mode: fused operator chains
-//!   driven by fixed-size morsels instead of whole-chunk materialization,
-//!   selectable via [`EngineConfig::execution_mode`];
+//! * [`pipeline`] — the step plan the executor drives: one single-node step
+//!   per operator under operator-at-a-time, fused operator chains driven by
+//!   fixed-size morsels under the morsel-driven mode, selectable via
+//!   [`EngineConfig::execution_mode`];
 //! * [`scheduler`] — pluggable task-scheduling policies (shared FIFO vs.
 //!   work-stealing deques), per-query scheduling state ([`QueryHandle`]:
 //!   priority, admitted DOP, cancellation, live dispatch signals) and
@@ -25,10 +27,8 @@
 //!   ([`EngineConfig::controller`]);
 //! * [`profiler`] — per-operator execution feedback (time, worker, memory
 //!   claim) and query-level multi-core-utilization metrics;
-//! * [`noise`] — reproducible synthetic OS-noise injection for the
-//!   convergence-robustness experiments;
-//! * [`fault`] — the deterministic chaos layer generalizing [`noise`]:
-//!   seeded, site-keyed injection of operator panics, dispatch stalls and
+//! * [`fault`] — the deterministic chaos layer: seeded, site-keyed
+//!   injection of operator delays, operator panics, dispatch stalls and
 //!   spurious cancellations ([`EngineConfig::with_faults`]), reproducible
 //!   byte-for-byte from a seed;
 //! * [`sharing`] — multi-query work sharing: cooperative shared scans
@@ -41,6 +41,7 @@
 //!   plan/result caches ([`QueryService`], [`Session`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chunk;
 pub mod controller;
@@ -48,7 +49,6 @@ pub mod error;
 pub mod executor;
 pub mod fault;
 pub mod interpreter;
-pub mod noise;
 pub mod pipeline;
 pub mod plan;
 pub mod profiler;
@@ -61,7 +61,6 @@ pub use controller::{ControllerConfig, TickReport};
 pub use error::{EngineError, Result};
 pub use executor::{Engine, EngineConfig, QueryExecution, QueryOptions, ReservedQuery};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats, ScheduledFault};
-pub use noise::{NoiseConfig, NoiseInjector};
 pub use pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
 pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
 pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};

@@ -1,11 +1,15 @@
-//! Morsel-driven pipeline execution (Leis et al., "Morsel-Driven
-//! Parallelism", adapted to this engine's operator-at-a-time plan IR).
+//! The executor's step plan: morsel-driven pipeline execution (Leis et al.,
+//! "Morsel-Driven Parallelism", adapted to this engine's operator-at-a-time
+//! plan IR) and, with fusion off, operator-at-a-time execution.
 //!
-//! The default execution model materializes every operator's whole output
-//! before any consumer starts ([`ExecutionMode::OperatorAtATime`]). That
-//! leaves the work-stealing scheduler's locality advantage mostly
-//! unexercised: a chunk produced on one core is consumed exactly once, by
-//! one follow-up task. Morsel-driven execution
+//! The executor runs one driver over a DAG of *steps* (`PipelinePlan`);
+//! the execution mode only decides how the plan is cut into steps. The
+//! default model materializes every operator's whole output before any
+//! consumer starts ([`ExecutionMode::OperatorAtATime`]): it is the step plan
+//! with fusion off, one single-node step per operator. That leaves the
+//! work-stealing scheduler's locality advantage mostly unexercised: a chunk
+//! produced on one core is consumed exactly once, by one follow-up task.
+//! Morsel-driven execution
 //! ([`ExecutionMode::MorselDriven`]) instead *fuses* compatible operator
 //! chains into pipelines, splits each pipeline's input into fixed-size
 //! **morsels** (configurable via [`crate::EngineConfig::morsel_rows`],
@@ -37,7 +41,7 @@
 //! fetch, hash probe / semi / anti join, calc (scalar *and* column⊗column),
 //! if-then-else, predicate masks, join-side projections and partial
 //! aggregates (scalar *and* grouped) all qualify; pipeline breakers (hash
-//! build, exchange union, finalize/merge) run operator-at-a-time between
+//! build, exchange union, finalize/merge) run as single-node steps between
 //! pipelines. Aggregates only ever *terminate* a chain: each morsel yields a
 //! partial (`AggState` / `GroupedAgg`) that the driver merges in morsel
 //! order, so nothing streams past them (`GroupAgg` is enforced explicitly —
@@ -180,8 +184,9 @@ impl Pipeline {
 /// One schedulable unit of the fused plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// A pipeline breaker (or unfusible node) executed whole, as in
-    /// operator-at-a-time mode.
+    /// One node executed whole: every node under
+    /// [`ExecutionMode::OperatorAtATime`], pipeline breakers and unfusible
+    /// nodes under [`ExecutionMode::MorselDriven`].
     Single(NodeId),
     /// A fused pipeline executed morsel-at-a-time.
     Fused(Pipeline),
@@ -191,7 +196,8 @@ pub(crate) enum Step {
 /// node exactly once.
 #[derive(Debug, Clone)]
 pub(crate) struct PipelinePlan {
-    /// The steps, in a valid (topological) execution order.
+    /// The steps: in the plan's topological order of their first member
+    /// under fusion, in node-id order without it.
     pub steps: Vec<Step>,
     /// `step_of[node] == Some(step index)` for every live node. Consumed by
     /// the analysis itself and by diagnostics/tests.
@@ -292,13 +298,20 @@ fn has_aligned_second_input(spec: &OperatorSpec, n_inputs: usize) -> bool {
 impl PipelinePlan {
     /// Decomposes a validated plan into pipelines and single-node steps.
     ///
-    /// Fusion is conservative: a chain only forms where the plan structure
-    /// *guarantees* that intermediate outputs are consumed exactly once, by
-    /// the next stage, as its first input. Everything else — multi-consumer
-    /// fan-out, pipeline breakers, exotic arities — falls back to single-node
-    /// steps that behave exactly like operator-at-a-time execution.
-    pub fn analyze(plan: &Plan) -> Result<PipelinePlan> {
-        let order = plan.topo_order()?;
+    /// Under [`ExecutionMode::OperatorAtATime`] no pipeline head is picked,
+    /// so every live node becomes its own [`Step::Single`] and the step
+    /// dependencies are exactly the plan's input edges. Under
+    /// [`ExecutionMode::MorselDriven`] fusion is conservative: a chain only
+    /// forms where the plan structure *guarantees* that intermediate outputs
+    /// are consumed exactly once, by the next stage, as its first input.
+    /// Everything else — multi-consumer fan-out, pipeline breakers, exotic
+    /// arities — falls back to single-node steps.
+    pub fn analyze(plan: &Plan, mode: ExecutionMode) -> Result<PipelinePlan> {
+        let fuse = mode == ExecutionMode::MorselDriven;
+        // Only the head rule needs producers assigned before their
+        // consumers; without fusion node order serves and saves a second
+        // topological sort of an already validated plan.
+        let order = if fuse { plan.topo_order()? } else { plan.node_ids() };
         let capacity = plan.capacity();
         let mut step_of: Vec<Option<usize>> = vec![None; capacity];
         let mut steps: Vec<Step> = Vec::new();
@@ -334,8 +347,9 @@ impl PipelinePlan {
 
             // A pipeline head is either a single-consumer scan feeding a
             // fusible stage, or a fusible stage whose first input is already
-            // materialized by an external step.
+            // materialized by an external step. Without fusion there is none.
             let head = match &node.spec {
+                _ if !fuse => None,
                 OperatorSpec::ScanColumn { .. } => chain_next(id, false)
                     .map(|first_stage| (PipelineSource::Scan { node: id }, first_stage)),
                 spec if is_fusible_stage(spec, node.inputs.len()) => {
@@ -475,7 +489,7 @@ mod tests {
     #[test]
     fn fuses_scan_select_fetch_agg_chain() {
         let plan = filter_sum_plan(1000);
-        let fused = PipelinePlan::analyze(&plan).unwrap();
+        let fused = PipelinePlan::analyze(&plan, ExecutionMode::MorselDriven).unwrap();
         // Expected: [scan a, select, fetch, agg] fused; scan b single
         // (feeds the fetch as a shared, unaligned input); finalize single.
         assert_eq!(fused.n_pipelines(), 1);
@@ -501,7 +515,7 @@ mod tests {
     #[test]
     fn step_dependencies_count_cross_step_edges() {
         let plan = filter_sum_plan(1000);
-        let fused = PipelinePlan::analyze(&plan).unwrap();
+        let fused = PipelinePlan::analyze(&plan, ExecutionMode::MorselDriven).unwrap();
         let pipe_idx = fused.steps.iter().position(|s| matches!(s, Step::Fused(_))).unwrap();
         let scan_b_idx = fused.step_of[2].unwrap();
         let fin_idx = fused.step_of[5].unwrap();
@@ -526,7 +540,7 @@ mod tests {
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 5i64) }, vec![a]);
         let u = p.add(OperatorSpec::ExchangeUnion, vec![s1, s2]);
         p.set_root(u);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         // The scan is a single step; each select becomes its own chunk-source
         // pipeline over the scan's chunk; the union is a breaker.
         assert_eq!(fused.step_of[a], Some(0));
@@ -554,7 +568,7 @@ mod tests {
         let s2 = p
             .add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Ge, 10i64) }, vec![b, s1]);
         p.set_root(s2);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         let s2_step = &fused.steps[fused.step_of[s2].unwrap()];
         assert!(matches!(s2_step, Step::Single(_)), "refining select fused: {s2_step:?}");
     }
@@ -569,7 +583,7 @@ mod tests {
             p.add(OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 50i64) }, vec![a]);
         let part = p.add(OperatorSpec::SlicePart { start: 10, len: 20 }, vec![sel]);
         p.set_root(part);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         let part_step = &fused.steps[fused.step_of[part].unwrap()];
         assert!(matches!(part_step, Step::Single(_)));
         // But a fusible consumer of the SlicePart streams its chunk.
@@ -585,7 +599,7 @@ mod tests {
             vec![part],
         );
         p2.set_root(calc);
-        let fused2 = PipelinePlan::analyze(&p2).unwrap();
+        let fused2 = PipelinePlan::analyze(&p2, ExecutionMode::MorselDriven).unwrap();
         let calc_step = &fused2.steps[fused2.step_of[calc].unwrap()];
         assert!(
             matches!(calc_step, Step::Fused(pl) if pl.source == PipelineSource::Chunk { producer: part }),
@@ -608,7 +622,7 @@ mod tests {
         let hash = p.add(OperatorSpec::HashBuild, vec![dim]);
         let semi = p.add(OperatorSpec::SemiJoin, vec![fetch, hash]);
         p.set_root(semi);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
 
         let first = &fused.steps[fused.step_of[a].unwrap()];
         assert!(
@@ -636,7 +650,7 @@ mod tests {
         let agg = p2.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![fetched]);
         let fin = p2.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p2.set_root(fin);
-        let fused2 = PipelinePlan::analyze(&p2).unwrap();
+        let fused2 = PipelinePlan::analyze(&p2, ExecutionMode::MorselDriven).unwrap();
         let chain = &fused2.steps[fused2.step_of[join].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.stages == vec![join, side, fetched, agg]),
@@ -659,7 +673,7 @@ mod tests {
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![calc]);
         let fin = p.add(OperatorSpec::FinalizeAgg { func: AggFunc::Sum }, vec![agg]);
         p.set_root(fin);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         let chain = &fused.steps[fused.step_of[calc].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: a }
@@ -682,7 +696,7 @@ mod tests {
             p.add(OperatorSpec::IfThenElse { otherwise: ScalarValue::I64(0) }, vec![mask, vals]);
         let agg = p.add(OperatorSpec::ScalarAgg { func: AggFunc::Sum }, vec![ite]);
         p.set_root(agg);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         let chain = &fused.steps[fused.step_of[ite].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: m }
@@ -709,7 +723,7 @@ mod tests {
             vec![fetch, c],
         );
         p.set_root(calc);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         let first = &fused.steps[fused.step_of[a].unwrap()];
         assert!(
             matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
@@ -735,7 +749,7 @@ mod tests {
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![k, v]);
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: k }
@@ -764,7 +778,7 @@ mod tests {
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Min }, vec![shifted, v]);
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         let chain = &fused.steps[fused.step_of[group].unwrap()];
         assert!(
             matches!(chain, Step::Fused(pl) if pl.source == PipelineSource::Scan { node: k }
@@ -788,7 +802,7 @@ mod tests {
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Sum }, vec![fetch, v]);
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         let first = &fused.steps[fused.step_of[a].unwrap()];
         assert!(
             matches!(first, Step::Fused(pl) if pl.stages == vec![sel, fetch]),
@@ -812,7 +826,7 @@ mod tests {
         let group = p.add(OperatorSpec::GroupAgg { func: AggFunc::Count }, vec![x, x]);
         let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
         p.set_root(merge);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         assert!(matches!(fused.steps[fused.step_of[group].unwrap()], Step::Single(_)));
     }
 
@@ -827,8 +841,32 @@ mod tests {
             vec![a, a],
         );
         p.set_root(sq);
-        let fused = PipelinePlan::analyze(&p).unwrap();
+        let fused = PipelinePlan::analyze(&p, ExecutionMode::MorselDriven).unwrap();
         assert!(matches!(fused.steps[fused.step_of[sq].unwrap()], Step::Single(_)));
+    }
+
+    #[test]
+    fn operator_at_a_time_is_the_unfused_step_plan() {
+        // The plans the morsel analysis fuses most eagerly yield only
+        // single-node steps without fusion, one per live node, each waiting
+        // on exactly its node's input edges (a repeated input counts twice).
+        let mut zip = Plan::new();
+        let a = zip.add(scan("a", 100), vec![]);
+        let sq = zip.add(
+            OperatorSpec::Calc { op: BinaryOp::Mul, left_scalar: None, right_scalar: None },
+            vec![a, a],
+        );
+        zip.set_root(sq);
+        for plan in [filter_sum_plan(1000), zip] {
+            let steps = PipelinePlan::analyze(&plan, ExecutionMode::OperatorAtATime).unwrap();
+            assert_eq!(steps.n_pipelines(), 0);
+            assert_eq!(steps.steps.len(), plan.node_count());
+            for (idx, step) in steps.steps.iter().enumerate() {
+                let Step::Single(node) = step else { panic!("fused step under OAT: {step:?}") };
+                assert_eq!(steps.step_of[*node], Some(idx));
+                assert_eq!(steps.deps[idx], plan.node(*node).unwrap().inputs.len());
+            }
+        }
     }
 
     #[test]

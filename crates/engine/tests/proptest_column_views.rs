@@ -1,15 +1,11 @@
-//! Property tests for the lazily-typed caches on shared column blocks:
-//! random `build` / `slice` / `concat` / typed-access interleavings —
-//! including concurrent typed access from several threads over windows of
-//! one backing — must match a materializing reference exactly (values and
-//! `base_oid` labels), and each backing must validate at most **once per
-//! type** no matter how many clones, windows, or threads touched it.
+//! Property tests for zero-copy column views: random `build` / `slice` /
+//! `concat` / typed-access interleavings — including concurrent typed access
+//! from several threads over windows of one backing — must match a
+//! materializing reference exactly (values and `base_oid` labels).
 //!
 //! The reference keeps a plain `Vec` plus an explicit base label and
-//! re-slices on every cut (what a cache-less column would return); the
-//! engine path goes through `Column::slice` / `Column::concat` and the
-//! warm-first typed accessors, exercising the `OnceLock` publication race
-//! and the per-backing validation counter.
+//! re-slices on every cut; the engine path goes through `Column::slice` /
+//! `Column::concat` and the typed accessors.
 
 use apq_columnar::{Column, Oid};
 use proptest::prelude::*;
@@ -40,9 +36,7 @@ fn assert_matches(col: &Column, reference: &RefCol) {
 }
 
 /// Reads `col` through several threads at once, each over a different
-/// window of the same backing, racing the first validation when the
-/// backing is cold. Values must match the reference everywhere and the
-/// backing must end up validated exactly once (a single type was read).
+/// window of the same backing. Values must match the reference everywhere.
 fn concurrent_fanout(col: &Column, reference: &RefCol, threads: usize) {
     let rows = col.len();
     std::thread::scope(|s| {
@@ -55,16 +49,11 @@ fn concurrent_fanout(col: &Column, reference: &RefCol, threads: usize) {
                 let len = (rows - start) / (t + 1);
                 let window = col.slice(start, len).expect("in-range window");
                 assert_matches(&window, &reference.slice(start, len));
-                // The base view itself, after the window warmed the cache.
+                // The base view itself, read concurrently with the windows.
                 assert_matches(&col, &reference);
             });
         }
     });
-    assert_eq!(
-        col.backing_validations(),
-        1,
-        "one typed access pattern must validate the backing exactly once"
-    );
 }
 
 /// Drives one random op sequence, starting from a freshly built column.
@@ -72,13 +61,11 @@ fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
     let mut col = Column::from_i64((0..len as i64).map(|v| v.wrapping_mul(7) - 3).collect());
     let mut reference =
         RefCol { values: (0..len as i64).map(|v| v.wrapping_mul(7) - 3).collect(), base: 0 };
-    assert_eq!(col.backing_validations(), 0, "a fresh backing must start cold");
 
     for &(kind, a, b, threads) in ops {
         let rows = col.len();
         match kind {
-            // Nested zero-copy cut; the window inherits the warm cache of
-            // its backing (shares_storage_with stays true).
+            // Nested zero-copy cut: the window shares its backing.
             0 => {
                 let start = if rows == 0 { 0 } else { a % (rows + 1) };
                 let cut = b % (rows - start + 1);
@@ -88,7 +75,7 @@ fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
                 col = sliced;
             }
             // Morsel-grid split + concat: non-divisible morsel sizes, packed
-            // in order into fresh (cold) backing relabelled from zero.
+            // in order into fresh backing relabelled from zero.
             1 => {
                 let morsel = (a % (rows + 2)).max(1);
                 let n = rows.div_ceil(morsel).max(1);
@@ -106,20 +93,11 @@ fn drive(len: usize, ops: &[(usize, usize, usize, usize)]) {
                     .collect();
                 col = Column::concat(&parts).expect("concat");
                 reference = RefCol::concat(&ref_parts);
-                assert_eq!(col.backing_validations(), 0, "packed backing must start cold");
             }
-            // Concurrent typed access across threads (cold → races the
-            // publication; warm → every thread takes the pointer-load path).
+            // Concurrent typed access across threads.
             _ => concurrent_fanout(&col, &reference, threads.max(1)),
         }
         assert_matches(&col, &reference);
-        // However the ops interleaved, only i64 was ever read: the current
-        // backing can never have validated more than that one type.
-        assert!(
-            col.backing_validations() <= 1,
-            "backing validated {} times for one accessed type",
-            col.backing_validations()
-        );
     }
 }
 
@@ -136,29 +114,22 @@ proptest! {
 }
 
 #[test]
-fn mixed_type_backings_validate_once_per_type() {
-    // A second type on the same *value* (an f64 column) lives in its own
-    // backing: per-backing counts stay per-type, and a mismatched accessor
-    // never publishes (the cache stays cold through type errors).
+fn mismatched_accessors_fail_and_leave_typed_access_intact() {
     let ints = Column::from_i64(vec![1, 2, 3]);
     assert!(ints.f64_values().is_err(), "mismatched accessor must fail");
-    assert_eq!(ints.backing_validations(), 0, "a failed access must not validate");
-    ints.i64_values().unwrap();
-    ints.i64_values().unwrap();
-    ints.slice(1, 2).unwrap().i64_values().unwrap();
-    assert_eq!(ints.backing_validations(), 1);
+    assert_eq!(ints.i64_values().unwrap(), &[1, 2, 3]);
+    assert_eq!(ints.slice(1, 2).unwrap().i64_values().unwrap(), &[2, 3]);
 
     let floats = Column::from_f64(vec![0.5, -1.25]);
-    floats.f64_values().unwrap();
-    assert_eq!(floats.backing_validations(), 1);
+    assert_eq!(floats.f64_values().unwrap(), &[0.5, -1.25]);
     assert!(floats.i64_values().is_err());
-    assert_eq!(floats.backing_validations(), 1, "a failed access after warm must not re-validate");
+    assert_eq!(floats.f64_values().unwrap(), &[0.5, -1.25]);
 }
 
 #[test]
 fn empty_and_degenerate_windows_round_trip() {
     // Shapes at the edge of the sampled space: zero-length builds, empty
-    // cuts of warm backings, single-row grids.
+    // cuts, single-row grids.
     drive(0, &[(2, 0, 0, 4), (1, 3, 0, 2), (0, 5, 9, 1)]);
     drive(1, &[(1, 1, 1, 1), (2, 0, 0, 3)]);
     let col = Column::from_i64(vec![9, 8, 7]);
@@ -166,5 +137,4 @@ fn empty_and_degenerate_windows_round_trip() {
     let empty = col.slice(3, 0).unwrap();
     assert_eq!(empty.i64_values().unwrap(), &[] as &[i64]);
     assert_eq!(empty.base_oid(), 3);
-    assert_eq!(col.backing_validations(), 1);
 }

@@ -23,6 +23,7 @@
 //! * [`sort`] — order-by / top-n helpers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod calc;

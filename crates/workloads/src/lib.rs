@@ -15,6 +15,7 @@
 //! * [`builder`] / [`dates`] — shared plan-construction and calendar helpers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod concurrent;

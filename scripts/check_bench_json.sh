@@ -16,10 +16,6 @@ case "$kind" in
       'slice_union_microbench'
       'windowed_ms'
       'materializing_ms'
-      'typed_access'
-      'repeat_window_access'
-      'warm_ms'
-      'cold_ms'
       'groupagg_q1_style'
       'fused_ms'
       'unfused_ms'

@@ -150,21 +150,27 @@ fn sharing_is_byte_identical_across_policies_and_modes() {
     }
 }
 
+const BOTH_MODES: [ExecutionMode; 2] =
+    [ExecutionMode::OperatorAtATime, ExecutionMode::MorselDriven];
+
 #[test]
 fn repeated_aggregates_resume_from_cached_partials() {
+    // Both modes run one step driver: a fused pipeline terminal caches at
+    // its morsel grid, an operator-at-a-time aggregate step at grid 0.
     let catalog = catalog();
-    let service =
-        sharing_service(SchedulerPolicy::WorkStealing, ExecutionMode::MorselDriven, &catalog);
-    let plan = scaled_sum(7);
-    let session = service.connect();
-    let first = session.submit(&plan).expect("cold run executes").output;
-    assert_eq!(service.stats().partials_reused, 0, "cold run cannot reuse partials");
-    let second = session.submit(&plan).expect("warm run executes").output;
-    assert_eq!(second, first, "partial reuse changed the result");
-    assert!(
-        service.stats().partials_reused > 0,
-        "identical resubmission should resume from cached partials"
-    );
+    for mode in BOTH_MODES {
+        let service = sharing_service(SchedulerPolicy::WorkStealing, mode, &catalog);
+        let plan = scaled_sum(7);
+        let session = service.connect();
+        let first = session.submit(&plan).expect("cold run executes").output;
+        assert_eq!(service.stats().partials_reused, 0, "[{mode}] cold run cannot reuse partials");
+        let second = session.submit(&plan).expect("warm run executes").output;
+        assert_eq!(second, first, "[{mode}] partial reuse changed the result");
+        assert!(
+            service.stats().partials_reused > 0,
+            "[{mode}] identical resubmission should resume from cached partials"
+        );
+    }
 }
 
 #[test]
@@ -172,7 +178,8 @@ fn repeated_group_aggregates_resume_from_cached_partials() {
     // Fused GroupAgg terminals cache like scalar-aggregate terminals: the
     // partial cache is chunk-typed, so a `Chunk::Grouped` merged in morsel
     // order stores under the same catalog/grid/signature key and a repeat
-    // of the shape skips the whole pipeline.
+    // of the shape skips the whole pipeline. Operator-at-a-time runs the
+    // same GroupAgg as an unfused step and caches its chunk at grid 0.
     let mut c = Catalog::new();
     c.register(
         TableBuilder::new("g")
@@ -182,8 +189,6 @@ fn repeated_group_aggregates_resume_from_cached_partials() {
             .unwrap(),
     );
     let catalog = Arc::new(c);
-    let service =
-        sharing_service(SchedulerPolicy::WorkStealing, ExecutionMode::MorselDriven, &catalog);
     let mut p = Plan::new();
     let k = p.add(
         OperatorSpec::ScanColumn {
@@ -205,20 +210,27 @@ fn repeated_group_aggregates_resume_from_cached_partials() {
     let merge = p.add(OperatorSpec::MergeGrouped, vec![group]);
     p.set_root(merge);
 
-    let session = service.connect();
-    let first = session.submit(&p).expect("cold run executes");
-    let profile = first.profile.as_ref().expect("executions carry a profile");
-    assert!(
-        profile.fused_groupagg_pipelines() > 0,
-        "groupagg over range-aligned scans should fuse"
-    );
-    assert_eq!(service.stats().partials_reused, 0, "cold run cannot reuse partials");
-    let second = session.submit(&p).expect("warm run executes");
-    assert_eq!(second.output, first.output, "grouped partial reuse changed the result");
-    assert!(
-        service.stats().partials_reused > 0,
-        "identical grouped resubmission should resume from the cached partial"
-    );
+    for mode in BOTH_MODES {
+        let service = sharing_service(SchedulerPolicy::WorkStealing, mode, &catalog);
+        let session = service.connect();
+        let first = session.submit(&p).expect("cold run executes");
+        let profile = first.profile.as_ref().expect("executions carry a profile");
+        assert_eq!(
+            profile.fused_groupagg_pipelines() > 0,
+            mode == ExecutionMode::MorselDriven,
+            "[{mode}] groupagg over range-aligned scans should fuse in morsel mode only"
+        );
+        assert_eq!(service.stats().partials_reused, 0, "[{mode}] cold run cannot reuse partials");
+        let second = session.submit(&p).expect("warm run executes");
+        assert_eq!(
+            second.output, first.output,
+            "[{mode}] grouped partial reuse changed the result"
+        );
+        assert!(
+            service.stats().partials_reused > 0,
+            "[{mode}] identical grouped resubmission should resume from the cached partial"
+        );
+    }
 }
 
 #[test]
