@@ -6,7 +6,9 @@
 //!
 //! The `groupagg_q1_style` section times a TPC-H Q1-style grouped aggregate
 //! executed as a fused pipeline terminal (morsel mode) vs unfused
-//! (operator-at-a-time).
+//! (operator-at-a-time). Both engines run the work-stealing scheduler with
+//! the same worker count, so this comparison and the TPC-H one differ only
+//! in the execution mode.
 //!
 //! The `hotpath` binary writes the results as `BENCH_hotpath.json` at the
 //! repository root — the before/after trajectory record the ROADMAP asks
@@ -203,13 +205,13 @@ pub fn run(cfg: &HotpathConfig) -> String {
 
     // --- morsel-mode TPC-H wall times ---------------------------------
     let catalog = tpch::generate(TpchScale::new(cfg.tpch_sf), 1234);
-    let oat = Engine::with_workers(cfg.workers);
-    let morsel = Engine::new(
-        EngineConfig::with_workers(cfg.workers)
-            .with_scheduler(SchedulerPolicy::WorkStealing)
-            .with_execution_mode(ExecutionMode::MorselDriven)
-            .with_morsel_rows(cfg.morsel_rows),
-    );
+    // Both engines share the scheduler and worker count, so each
+    // comparison below changes only the execution mode.
+    let base = EngineConfig::with_workers(cfg.workers)
+        .with_scheduler(SchedulerPolicy::WorkStealing)
+        .with_morsel_rows(cfg.morsel_rows);
+    let oat = Engine::new(base.clone().with_execution_mode(ExecutionMode::OperatorAtATime));
+    let morsel = Engine::new(base.with_execution_mode(ExecutionMode::MorselDriven));
     let tpch_rows: Vec<String> = [TpchQuery::Q6, TpchQuery::Q14]
         .iter()
         .map(|q| {

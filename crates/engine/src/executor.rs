@@ -684,6 +684,9 @@ impl Engine {
         let mut partial_keys: Vec<Option<PartialKey>> = vec![None; n_steps];
         let mut seeded: Vec<(NodeId, Chunk)> = Vec::new();
         if let Some(registry) = &self.sharing {
+            // Read before any partial is computed: an invalidation during
+            // the run makes this run's `partial_put`s no-ops.
+            let generation = registry.generation();
             for (idx, step) in dag.steps.iter().enumerate() {
                 // A fused pipeline's terminal chunk is the exchange-union
                 // merge over its morsel grid, so the cache key carries the
@@ -702,7 +705,7 @@ impl Engine {
                     satisfied[idx] = true;
                     seeded.push((terminal, chunk));
                 }
-                partial_keys[idx] = Some(PartialKey { signature, tables });
+                partial_keys[idx] = Some(PartialKey { signature, tables, generation });
             }
         }
 
@@ -962,6 +965,8 @@ struct QueryRun {
 struct PartialKey {
     signature: String,
     tables: Vec<String>,
+    /// [`ScanRegistry::generation`] when the run started.
+    generation: u64,
 }
 
 impl QueryRun {
@@ -1290,6 +1295,7 @@ fn run_single_step(state: Arc<QueryRun>, ctx: &TaskContext<'_>, step: usize, nod
     if let (Some(registry), Some(key)) = (&state.sharing, &state.partial_keys[step]) {
         if let Some(chunk) = state.results.get(node).and_then(OnceLock::get) {
             registry.partial_put(
+                key.generation,
                 &state.catalog,
                 0,
                 &key.signature,
@@ -1552,6 +1558,7 @@ fn assemble_pipeline(
     // same shape ([`crate::sharing`] partial-aggregate reuse).
     if let (Some(registry), Some(key)) = (&state.sharing, &state.partial_keys[step]) {
         registry.partial_put(
+            key.generation,
             &state.catalog,
             run.morsel_rows,
             &key.signature,

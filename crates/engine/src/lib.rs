@@ -49,6 +49,7 @@ pub mod error;
 pub mod executor;
 pub mod fault;
 pub mod interpreter;
+mod lru;
 pub mod pipeline;
 pub mod plan;
 pub mod profiler;
@@ -62,7 +63,7 @@ pub use error::{EngineError, Result};
 pub use executor::{Engine, EngineConfig, QueryExecution, QueryOptions, ReservedQuery};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats, ScheduledFault};
 pub use pipeline::{ExecutionMode, DEFAULT_MORSEL_ROWS};
-pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanNode};
+pub use plan::{CombinerKind, JoinSide, NodeId, OperatorSpec, Plan, PlanKey, PlanNode};
 pub use profiler::{DopEvent, DopPhase, OperatorProfile, PipelineProfile, QueryProfile};
 pub use scheduler::{QueryHandle, QuerySignals, SchedulerPolicy, SchedulerStats, WorkerStats};
 pub use service::{QueryService, ServiceConfig, ServiceResponse, ServiceStats, Session};

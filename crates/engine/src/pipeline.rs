@@ -312,6 +312,8 @@ impl PipelinePlan {
         // consumers; without fusion node order serves and saves a second
         // topological sort of an already validated plan.
         let order = if fuse { plan.topo_order()? } else { plan.node_ids() };
+        // Every consumer list in one pass; only the fusion rules read them.
+        let consumers = if fuse { plan.consumer_lists() } else { Vec::new() };
         let capacity = plan.capacity();
         let mut step_of: Vec<Option<usize>> = vec![None; capacity];
         let mut steps: Vec<Step> = Vec::new();
@@ -323,8 +325,7 @@ impl PipelinePlan {
         // input bases would be morsel-local. They instead start their own
         // pipeline over the globally assembled chunk, which is correct.
         let chain_next = |id: NodeId, stream_created: bool| -> Option<NodeId> {
-            let consumers = plan.consumers(id);
-            let [consumer] = consumers.as_slice() else { return None };
+            let [consumer] = consumers[id].as_slice() else { return None };
             let node = plan.node(*consumer).ok()?;
             let occurrences = node.inputs.iter().filter(|&&i| i == id).count();
             if occurrences != 1 || node.inputs.first() != Some(&id) {

@@ -9,8 +9,11 @@
 //! per-operator metadata such as which inputs are range-partitionable — lives
 //! here.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use apq_columnar::partition::RowRange;
 use apq_columnar::ScalarValue;
@@ -294,11 +297,59 @@ pub struct PlanNode {
     pub inputs: Vec<NodeId>,
 }
 
+/// The cache key of a plan ([`Plan::key`]): the [`Plan::signature`] text,
+/// shared as `Arc<str>`, plus a 64-bit hash of it.
+///
+/// Hashing a key feeds only the stored hash, so a hash-map lookup costs the
+/// same for a 12-node plan as for a 31-node one. Equality is exact: equal
+/// hashes are confirmed by pointer equality of the shared text (a clone of
+/// the same key) or else by a string compare, so two keys are equal exactly
+/// when their signatures are.
+#[derive(Debug, Clone)]
+pub struct PlanKey {
+    hash: u64,
+    signature: Arc<str>,
+}
+
+impl From<&str> for PlanKey {
+    /// The key of a signature text; `PlanKey::from(plan.signature().as_str())`
+    /// equals `plan.key()`.
+    fn from(signature: &str) -> Self {
+        let mut hasher = DefaultHasher::new();
+        signature.hash(&mut hasher);
+        PlanKey { hash: hasher.finish(), signature: Arc::from(signature) }
+    }
+}
+
+impl PartialEq for PlanKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.signature, &other.signature) || self.signature == other.signature)
+    }
+}
+
+impl Eq for PlanKey {}
+
+impl Hash for PlanKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 /// A dataflow plan: a DAG of operator nodes with a single result node.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Plan {
     nodes: Vec<Option<PlanNode>>,
     root: Option<NodeId>,
+    /// [`Plan::key`], built on first use. Every `&mut self` method clears
+    /// it; clones carry it.
+    key: OnceLock<PlanKey>,
+}
+
+impl fmt::Debug for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Plan").field("nodes", &self.nodes).field("root", &self.root).finish()
+    }
 }
 
 impl Plan {
@@ -307,8 +358,14 @@ impl Plan {
         Plan::default()
     }
 
+    /// Drops the memoized [`Plan::key`]; called by every `&mut self` method.
+    fn forget_key(&mut self) {
+        self.key.take();
+    }
+
     /// Adds a node and returns its id.
     pub fn add(&mut self, spec: OperatorSpec, inputs: Vec<NodeId>) -> NodeId {
+        self.forget_key();
         let id = self.nodes.len();
         self.nodes.push(Some(PlanNode { spec, inputs }));
         id
@@ -316,6 +373,7 @@ impl Plan {
 
     /// Marks `id` as the plan's result node.
     pub fn set_root(&mut self, id: NodeId) {
+        self.forget_key();
         self.root = Some(id);
     }
 
@@ -344,6 +402,7 @@ impl Plan {
 
     /// Mutable access to a live node.
     pub fn node_mut(&mut self, id: NodeId) -> Result<&mut PlanNode> {
+        self.forget_key();
         self.nodes
             .get_mut(id)
             .and_then(Option::as_mut)
@@ -360,6 +419,7 @@ impl Plan {
         if !self.contains(id) {
             return Err(EngineError::InvalidPlan(format!("cannot remove missing node {id}")));
         }
+        self.forget_key();
         self.nodes[id] = None;
         Ok(())
     }
@@ -369,13 +429,31 @@ impl Plan {
         self.nodes.iter().enumerate().filter_map(|(i, n)| n.as_ref().map(|_| i)).collect()
     }
 
-    /// Ids of the live nodes that consume `id`'s output, ascending.
+    /// Ids of the live nodes that consume `id`'s output, ascending. Scans
+    /// every node; callers that look up many nodes use
+    /// [`Plan::consumer_lists`].
     pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
         self.nodes
             .iter()
             .enumerate()
             .filter_map(|(i, n)| n.as_ref().and_then(|node| node.inputs.contains(&id).then_some(i)))
             .collect()
+    }
+
+    /// [`Plan::consumers`] of every slot at once, indexed by node id, in one
+    /// pass over the plan.
+    pub fn consumer_lists(&self) -> Vec<Vec<NodeId>> {
+        let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
+        for (id, node) in self.nodes.iter().enumerate() {
+            let Some(node) = node else { continue };
+            for (k, &input) in node.inputs.iter().enumerate() {
+                // A node listing the same producer twice consumes it once.
+                if input < lists.len() && !node.inputs[..k].contains(&input) {
+                    lists[input].push(id);
+                }
+            }
+        }
+        lists
     }
 
     /// Replaces every occurrence of `old` in `node`'s input list with `new`.
@@ -405,8 +483,10 @@ impl Plan {
     /// Plans that build the same DAG the same way produce equal signatures;
     /// the encoding includes every operator parameter (predicate constants,
     /// scan ranges), so "same shape, different constants" never collides.
-    /// This is the cache key of the service layer's shared plan and result
-    /// caches ([`crate::service`]).
+    ///
+    /// Each call renders the text anew (≈ 1 KB for a TPC-H plan). The
+    /// service layer's plan and result caches key on [`Plan::key`] instead,
+    /// which renders it once per plan value.
     pub fn signature(&self) -> String {
         let mut out = String::new();
         for id in self.node_ids() {
@@ -415,6 +495,18 @@ impl Plan {
         }
         let _ = write!(out, "root={:?}", self.root);
         out
+    }
+
+    /// The plan's cache key: [`Plan::signature`] rendered and hashed on
+    /// first use, then memoized in this plan value, so a resubmitted plan
+    /// costs no rendering. Clones carry the memo. Every `&mut self` method
+    /// ([`Plan::add`], [`Plan::set_root`], [`Plan::node_mut`],
+    /// [`Plan::remove`], and through `node_mut` [`Plan::replace_input`] and
+    /// [`Plan::splice_input`]) clears it, so a changed plan never keeps a
+    /// stale key. This is the key of the service layer's shared plan and
+    /// result caches ([`crate::service`]).
+    pub fn key(&self) -> &PlanKey {
+        self.key.get_or_init(|| PlanKey::from(self.signature().as_str()))
     }
 
     /// Names of the tables the plan reads ([`OperatorSpec::ScanColumn`]
@@ -524,10 +616,11 @@ impl Plan {
         let mut ready: Vec<NodeId> = ids.iter().copied().filter(|i| in_deg[i] == 0).collect();
         ready.sort_unstable();
         let mut order = Vec::with_capacity(ids.len());
+        let consumers = self.consumer_lists();
         let mut queue = std::collections::VecDeque::from(ready);
         while let Some(id) = queue.pop_front() {
             order.push(id);
-            for consumer in self.consumers(id) {
+            for &consumer in &consumers[id] {
                 let d = in_deg.get_mut(&consumer).expect("present");
                 // A consumer may list the same producer several times.
                 let times = self.node(consumer)?.inputs.iter().filter(|&&i| i == id).count();
@@ -721,6 +814,63 @@ mod tests {
         bad.node_mut(0).unwrap().inputs.push(5);
         assert!(bad.topo_order().is_err());
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn every_mutation_changes_the_memoized_key() {
+        type Mutation = (&'static str, fn(&mut Plan));
+        let mutations: [Mutation; 6] = [
+            ("add", |p| {
+                p.add(scan("t", "c", 100), vec![]);
+            }),
+            ("set_root", |p| p.set_root(4)),
+            ("node_mut", |p| {
+                p.node_mut(1).unwrap().spec =
+                    OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 11i64) };
+            }),
+            ("remove", |p| p.remove(5).unwrap()),
+            ("replace_input", |p| p.replace_input(3, 2, 0).unwrap()),
+            ("splice_input", |p| p.splice_input(3, 1, &[0]).unwrap()),
+        ];
+        for (name, mutate) in mutations {
+            let mut p = tiny_plan();
+            let before = p.key().clone();
+            mutate(&mut p);
+            assert!(p.key.get().is_none(), "{name} must clear the memo");
+            assert_ne!(*p.key(), before, "{name} must change the key");
+            assert_eq!(*p.key(), PlanKey::from(p.signature().as_str()), "{name}");
+        }
+    }
+
+    #[test]
+    fn clones_carry_the_key_and_equal_plans_get_equal_keys() {
+        let p = tiny_plan();
+        let key = p.key().clone();
+        let copy = p.clone();
+        assert!(copy.key.get().is_some(), "a clone carries the memo");
+        assert!(Arc::ptr_eq(&copy.key().signature, &key.signature));
+
+        let twin = tiny_plan();
+        assert!(!Arc::ptr_eq(&twin.key().signature, &key.signature));
+        assert_eq!(*twin.key(), key, "independently built identical plans match");
+        assert_eq!(twin.key().hash, key.hash);
+        assert_eq!(&*key.signature, p.signature());
+    }
+
+    #[test]
+    fn consumer_lists_match_consumers() {
+        let mut p = tiny_plan();
+        // A node that lists the same producer twice is one consumer.
+        p.add(
+            OperatorSpec::Calc { op: BinaryOp::Add, left_scalar: None, right_scalar: None },
+            vec![0, 0],
+        );
+        p.remove(2).unwrap();
+        let lists = p.consumer_lists();
+        assert_eq!(lists.len(), p.capacity());
+        for (id, list) in lists.iter().enumerate() {
+            assert_eq!(*list, p.consumers(id), "node {id}");
+        }
     }
 
     #[test]

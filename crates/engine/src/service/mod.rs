@@ -21,10 +21,11 @@
 //!   priority, and close/cancel semantics — closing a session cancels its
 //!   in-flight queries and fails later submissions with
 //!   [`crate::EngineError::SessionClosed`].
-//! * **Shared caches.** A plan cache keyed on [`crate::Plan::signature`] (reusing
-//!   the `Arc<Plan>` shared-execution path) and a bounded result cache
-//!   with explicit per-table invalidation. Keying rules live in
-//!   `cache.rs`'s module docs and `docs/architecture.md` §8.
+//! * **Shared caches.** A plan cache keyed on the memoized [`crate::Plan::key`]
+//!   (reusing the `Arc<Plan>` shared-execution path) and a bounded result
+//!   cache with explicit per-table invalidation; a hit is one hash lookup.
+//!   Keying rules live in `cache.rs`'s module docs and
+//!   `docs/architecture.md` §8.
 //!
 //! ```text
 //!            Session::submit(plan)
@@ -33,7 +34,7 @@
 //!                   │
 //!        result cache ──hit──► ServiceResponse (no engine work)
 //!                   │miss
-//!         plan cache (signature → Arc<Plan>)
+//!         plan cache (plan key → Arc<Plan>)
 //!                   │
 //!      Engine::reserve_admitted ─────────┐ one registry lock:
 //!        (ticket = registry entry,       │ count governed ∪ {self},

@@ -426,8 +426,8 @@ impl Session {
             None => None,
         };
 
-        let signature = plan.signature();
-        if let Some(output) = service.result_cache.get(&signature) {
+        let key = plan.key();
+        if let Some(output) = service.result_cache.get(key) {
             service.count_result_cache(true);
             return Ok(ServiceResponse {
                 output,
@@ -438,9 +438,13 @@ impl Session {
         }
         service.count_result_cache(false);
 
-        let (shared, plan_cache_hit) = service.plan_cache.get_or_insert(&signature, plan);
+        let (shared, plan_cache_hit) = service.plan_cache.get_or_insert(key, plan);
         service.count_plan_cache(plan_cache_hit);
 
+        // Read before the catalog snapshot: an invalidation that lands
+        // after this point, while the query runs on the snapshot, turns the
+        // result-cache insert below into a no-op.
+        let generation = service.result_cache.generation();
         let catalog = service.catalog();
         let started = Instant::now();
         let handle;
@@ -485,13 +489,15 @@ impl Session {
         // deadline — a racing close/expiry after the last checkpoint could
         // otherwise pin a half-trusted output in the cache and serve it to
         // the next identical submission. Cost-aware admission: executions
-        // cheaper than `min_cache_cost` are not worth a cache slot.
+        // cheaper than `min_cache_cost` are not worth a cache slot. An
+        // invalidation since the generation read also drops the insert.
         if !handle.is_cancelled()
             && !handle.deadline_exceeded()
             && started.elapsed() >= service.config.min_cache_cost
         {
-            service.result_cache.insert(
-                signature,
+            service.result_cache.insert_since(
+                generation,
+                key.clone(),
                 execution.output.clone(),
                 shared.referenced_tables(),
             );

@@ -36,7 +36,8 @@
 //! # Partial-aggregate reuse
 //!
 //! Repeated query shapes re-aggregate the same subtree over and over. The
-//! registry keeps a bounded LRU of published **aggregate partials**
+//! registry keeps a bounded LRU (the service caches' `LruMap`, so a lookup
+//! is O(1)) of published **aggregate partials**
 //! (`ScalarAgg` / `GroupAgg` pipeline terminals), keyed on the canonical
 //! subtree signature ([`crate::plan::Plan::subtree_signature`]), the catalog
 //! identity, and the morsel grid that produced them. A later query whose
@@ -57,8 +58,14 @@
 //! per-table invalidation ([`ScanRegistry::invalidate_table`]) drops the
 //! table's groups **and** every cached partial whose subtree read the table;
 //! [`ScanRegistry::invalidate_all`] flushes everything.
+//!
+//! Both also advance the registry's [`ScanRegistry::generation`]. A query
+//! reads it when it starts and passes it to [`ScanRegistry::partial_put`],
+//! which stores nothing once an invalidation has run since: a partial
+//! computed before the flush never lands after it. Bump and check both run
+//! under the partial cache's lock.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -68,6 +75,7 @@ use apq_columnar::Catalog;
 
 use crate::chunk::Chunk;
 use crate::error::Result;
+use crate::lru::LruMap;
 
 /// Configuration of the work-sharing subsystem (shared scans +
 /// partial-aggregate reuse). Enabled by attaching it to
@@ -233,7 +241,7 @@ impl Drop for SharedScan {
 }
 
 /// One cached aggregate partial.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PartialEntry {
     chunk: Chunk,
     /// Catalog allocation the partial was computed against.
@@ -242,30 +250,15 @@ struct PartialEntry {
     tables: Vec<String>,
 }
 
-/// Bounded LRU of aggregate partials (the `crate::service` cache idiom,
-/// local so the engine does not depend on the service layer).
-#[derive(Debug, Default)]
-struct PartialCache {
-    map: HashMap<String, PartialEntry>,
-    recency: VecDeque<String>,
-}
-
-impl PartialCache {
-    fn touch(&mut self, key: &str) {
-        if let Some(pos) = self.recency.iter().position(|k| k == key) {
-            self.recency.remove(pos);
-        }
-        self.recency.push_back(key.to_string());
-    }
-}
-
 /// The engine-wide work-sharing coordinator: scan groups + partial cache.
 /// One per [`crate::Engine`] when sharing is enabled.
 #[derive(Debug)]
 pub struct ScanRegistry {
     config: SharingConfig,
     groups: Mutex<HashMap<GroupKey, Arc<ScanGroup>>>,
-    partials: Mutex<PartialCache>,
+    partials: Mutex<LruMap<String, PartialEntry>>,
+    /// Invalidations so far; bumped under the `partials` lock.
+    generation: AtomicU64,
     counters: Arc<SharingCounters>,
 }
 
@@ -273,10 +266,11 @@ impl ScanRegistry {
     /// Creates an empty registry.
     pub fn new(config: SharingConfig) -> Self {
         ScanRegistry {
-            config,
             groups: Mutex::new(HashMap::new()),
-            partials: Mutex::new(PartialCache::default()),
+            partials: Mutex::new(LruMap::new(config.partial_cache_capacity)),
+            generation: AtomicU64::new(0),
             counters: Arc::new(SharingCounters::default()),
+            config,
         }
     }
 
@@ -331,54 +325,43 @@ impl ScanRegistry {
     ) -> Option<Chunk> {
         let key = Self::partial_key(catalog, morsel_rows, signature);
         let mut cache = self.partials.lock();
-        let live = match cache.map.get(&key) {
-            Some(entry) => entry.catalog.upgrade().is_some_and(|c| Arc::ptr_eq(&c, catalog)),
-            None => return None,
-        };
-        if !live {
-            cache.map.remove(&key);
-            cache.recency.retain(|k| k != &key);
+        let entry = cache.get(&key)?;
+        if !entry.catalog.upgrade().is_some_and(|c| Arc::ptr_eq(&c, catalog)) {
+            cache.remove(&key);
             return None;
         }
-        cache.touch(&key);
-        let chunk = cache.map.get(&key).map(|e| e.chunk.clone());
-        if chunk.is_some() {
-            self.counters.partials_reused.fetch_add(1, Ordering::Relaxed);
-        }
-        chunk
+        let chunk = entry.chunk.clone();
+        self.counters.partials_reused.fetch_add(1, Ordering::Relaxed);
+        Some(chunk)
     }
 
-    /// Publishes an aggregate partial, evicting the coldest entry when the
-    /// cache is full.
+    /// The invalidation count. A query reads it when it starts and hands it
+    /// to [`ScanRegistry::partial_put`].
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Publishes an aggregate partial, evicting the least recently used
+    /// entry when the cache is full. Stores nothing when an invalidation ran
+    /// since `generation` was read ([`ScanRegistry::generation`]).
     pub fn partial_put(
         &self,
+        generation: u64,
         catalog: &Arc<Catalog>,
         morsel_rows: usize,
         signature: &str,
         tables: Vec<String>,
         chunk: Chunk,
     ) {
-        let capacity = self.config.partial_cache_capacity;
-        if capacity == 0 {
-            return;
-        }
         let key = Self::partial_key(catalog, morsel_rows, signature);
         let mut cache = self.partials.lock();
-        if !cache.map.contains_key(&key) {
-            while cache.map.len() >= capacity {
-                match cache.recency.pop_front() {
-                    Some(coldest) => {
-                        cache.map.remove(&coldest);
-                    }
-                    None => break,
-                }
-            }
+        if self.generation.load(Ordering::Acquire) != generation {
+            return;
+        }
+        let entry = PartialEntry { chunk, catalog: Arc::downgrade(catalog), tables };
+        if cache.insert(key, entry) {
             self.counters.partials_stored.fetch_add(1, Ordering::Relaxed);
         }
-        cache
-            .map
-            .insert(key.clone(), PartialEntry { chunk, catalog: Arc::downgrade(catalog), tables });
-        cache.touch(&key);
     }
 
     fn partial_key(catalog: &Arc<Catalog>, morsel_rows: usize, signature: &str) -> String {
@@ -391,10 +374,9 @@ impl ScanRegistry {
     /// windows or partials.
     pub fn invalidate_table(&self, table: &str) {
         self.groups.lock().retain(|key, _| key.table != table);
-        let cache = &mut *self.partials.lock();
-        cache.map.retain(|_, entry| !entry.tables.iter().any(|t| t == table));
-        let map = &cache.map;
-        cache.recency.retain(|k| map.contains_key(k));
+        let mut cache = self.partials.lock();
+        self.generation.fetch_add(1, Ordering::Release);
+        cache.retain(|entry| !entry.tables.iter().any(|t| t == table));
     }
 
     /// Flushes every scan group and cached partial (catalog swaps, global
@@ -402,8 +384,8 @@ impl ScanRegistry {
     pub fn invalidate_all(&self) {
         self.groups.lock().clear();
         let mut cache = self.partials.lock();
-        cache.map.clear();
-        cache.recency.clear();
+        self.generation.fetch_add(1, Ordering::Release);
+        cache.clear();
     }
 
     /// Scan groups currently registered (post-invalidation live count).
@@ -413,7 +395,7 @@ impl ScanRegistry {
 
     /// Cached partials currently held.
     pub fn live_partials(&self) -> usize {
-        self.partials.lock().map.len()
+        self.partials.lock().len()
     }
 
     /// Snapshot of the cumulative counters.
@@ -525,15 +507,15 @@ mod tests {
         let reg = ScanRegistry::new(SharingConfig::default().with_partial_cache_capacity(2));
         let cat = catalog(10);
         let chunk = produce(&cat, 0, 10).unwrap();
-        reg.partial_put(&cat, 64, "sig-a", vec!["t".into()], chunk.clone());
-        reg.partial_put(&cat, 64, "sig-b", vec!["t".into()], chunk.clone());
+        reg.partial_put(reg.generation(), &cat, 64, "sig-a", vec!["t".into()], chunk.clone());
+        reg.partial_put(reg.generation(), &cat, 64, "sig-b", vec!["t".into()], chunk.clone());
         assert!(reg.partial_get(&cat, 64, "sig-a").is_some());
         // Different grid or signature: miss.
         assert!(reg.partial_get(&cat, 32, "sig-a").is_none());
         assert!(reg.partial_get(&cat, 64, "sig-c").is_none());
         // Capacity 2: inserting a third evicts the coldest (sig-b; sig-a was
         // touched by the get above).
-        reg.partial_put(&cat, 64, "sig-c", vec!["t".into()], chunk.clone());
+        reg.partial_put(reg.generation(), &cat, 64, "sig-c", vec!["t".into()], chunk.clone());
         assert!(reg.partial_get(&cat, 64, "sig-b").is_none());
         assert!(reg.partial_get(&cat, 64, "sig-a").is_some());
         assert_eq!(reg.live_partials(), 2);
@@ -548,8 +530,22 @@ mod tests {
         let cat = catalog(10);
         let scan = reg.attach(&cat, "t", "v");
         scan.window(0, 10, || produce(&cat, 0, 10)).unwrap();
-        reg.partial_put(&cat, 64, "sig", vec!["t".into()], produce(&cat, 0, 10).unwrap());
-        reg.partial_put(&cat, 64, "other", vec!["u".into()], produce(&cat, 0, 10).unwrap());
+        reg.partial_put(
+            reg.generation(),
+            &cat,
+            64,
+            "sig",
+            vec!["t".into()],
+            produce(&cat, 0, 10).unwrap(),
+        );
+        reg.partial_put(
+            reg.generation(),
+            &cat,
+            64,
+            "other",
+            vec!["u".into()],
+            produce(&cat, 0, 10).unwrap(),
+        );
         assert_eq!(reg.live_groups(), 1);
         assert_eq!(reg.live_partials(), 2);
 
@@ -563,6 +559,11 @@ mod tests {
         drop(scan);
 
         reg.invalidate_all();
+        assert_eq!(reg.live_partials(), 0);
+        // A partial computed before an invalidation is not stored after it.
+        let started = reg.generation();
+        reg.invalidate_table("t");
+        reg.partial_put(started, &cat, 64, "sig", vec!["t".into()], produce(&cat, 0, 10).unwrap());
         assert_eq!(reg.live_partials(), 0);
         // A fresh attach after invalidation produces privately again.
         let scan = reg.attach(&cat, "t", "v");

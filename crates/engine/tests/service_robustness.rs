@@ -111,6 +111,33 @@ fn timed_out_partial_outcome_is_never_served_to_the_next_submission() {
 }
 
 #[test]
+fn invalidation_during_a_miss_keeps_its_result_out_of_the_cache() {
+    // The miss snapshots the catalog, then runs for ~120ms. An
+    // invalidation that lands meanwhile must win: the result computed
+    // from the pre-invalidation data may not be inserted after the flush,
+    // or every later submission would be served it.
+    let service = slow_service(20, 0);
+    let session = service.connect();
+    let plan = sum_plan(353);
+
+    let runner = {
+        let session = session.clone();
+        let plan = plan.clone();
+        thread::spawn(move || session.submit(&plan))
+    };
+    await_condition("the query to be in flight", || service.engine().in_flight_queries() > 0);
+    service.invalidate_table("t");
+    let response = runner.join().unwrap().expect("the in-flight query completes");
+    assert!(!response.result_cache_hit);
+    assert_eq!(service.result_cache_len(), 0, "a pre-invalidation result reached the cache");
+
+    let next = session.submit(&plan).expect("the next submission executes");
+    assert!(!next.result_cache_hit, "the next submission must execute, not hit");
+    assert_eq!(next.output, response.output);
+    assert_eq!(service.result_cache_len(), 1, "a run after the flush is cached");
+}
+
+#[test]
 fn close_wakes_queued_submitters_immediately() {
     // Thread A holds the session's turn with a ~120ms query; thread B
     // queues behind it. Closing the session must wake B with

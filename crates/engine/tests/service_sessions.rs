@@ -7,7 +7,9 @@ use std::sync::Arc;
 use apq_columnar::partition::RowRange;
 use apq_columnar::{Catalog, ScalarValue, TableBuilder};
 use apq_engine::plan::{OperatorSpec, Plan};
-use apq_engine::{DopPhase, EngineConfig, EngineError, QueryOutput, QueryService, ServiceConfig};
+use apq_engine::{
+    DopPhase, Engine, EngineConfig, EngineError, QueryOutput, QueryService, ServiceConfig,
+};
 use apq_operators::{AggFunc, CmpOp, Predicate};
 
 fn catalog_with(rows: usize, scale: i64) -> Arc<Catalog> {
@@ -138,6 +140,32 @@ fn result_cache_hits_skip_execution_and_match_cold_output() {
     assert_eq!(stats.result_cache_hits, 1);
     assert_eq!(stats.result_cache_misses, 2);
     assert_eq!(stats.queries, 3);
+}
+
+#[test]
+fn a_plan_changed_in_place_misses_both_caches() {
+    // The cache key is memoized in the plan value; editing the plan must
+    // drop it, or the edited plan would be served the old result.
+    let svc = service(ServiceConfig::with_engine(EngineConfig::with_workers(2)));
+    let session = svc.connect();
+    let mut plan = sum_plan(10_000, 250);
+    let first = session.submit(&plan).unwrap();
+    assert_eq!(first.output, expected_sum(250));
+
+    let select = plan
+        .node_ids()
+        .into_iter()
+        .find(|&id| matches!(plan.node(id).unwrap().spec, OperatorSpec::Select { .. }))
+        .expect("the plan has a select");
+    plan.node_mut(select).unwrap().spec =
+        OperatorSpec::Select { predicate: Predicate::cmp(CmpOp::Lt, 99i64) };
+
+    let second = session.submit(&plan).unwrap();
+    assert!(!second.result_cache_hit, "an edited plan must not hit the old result");
+    assert!(!second.plan_cache_hit, "an edited plan must not reuse the old plan");
+    let direct = Engine::with_workers(2).execute(&plan, &svc.catalog()).unwrap();
+    assert_eq!(second.output, direct.output);
+    assert_eq!(second.output, expected_sum(99));
 }
 
 #[test]
